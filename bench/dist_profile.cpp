@@ -11,9 +11,9 @@
 /// (tools/validate_dist_bench.py checks the emitted rows). stdout carries
 /// one JSON object per line ("bench": "dist_profile"): a partition row
 /// per worker count with cut/balance accounting, one row per (kernel,
-/// workers) with wall time, superstep count, and traffic, and a
-/// bc_overlap row comparing the overlapped exchange engine against the
-/// lockstep baseline at each worker count. Progress goes to stderr.
+/// workers) with wall time, step count (supersteps; sources for bc), and
+/// traffic, and a bc_overlap row comparing the pipelined bc requests
+/// against one request in flight per worker. Progress goes to stderr.
 ///
 /// Meta records hw_concurrency and worker_threads: on the single-core CI
 /// host every worker count oversubscribes the machine, so dist rows
@@ -126,8 +126,9 @@ int main(int argc, char** argv) {
     const PageRankResult pr_ref = pagerank(GraphView(g));
     const double pr_single = t.seconds();
 
-    // Betweenness baseline: fine mode over the sampled sources — the dist
-    // engine replays exactly this accumulation, so parity is bitwise.
+    // Betweenness baseline: fine mode over the sampled sources — workers
+    // run the same per-source engine and the coordinator adds in the same
+    // source order, so parity is bitwise.
     BetweennessOptions bc_opts;
     bc_opts.num_sources = cli.has("quick") ? 16 : 64;
     bc_opts.parallelism = BcParallelism::kFine;
@@ -231,10 +232,11 @@ int main(int argc, char** argv) {
         all_parity = all_parity && row.parity;
       }
       {
-        // Overlap ablation: the same bc job through the lockstep
-        // send-all-then-receive-in-order engine. On a single-core host the
-        // two are expected to be close (nothing truly runs concurrently);
-        // the row exists so multi-core runs can quantify the overlap win.
+        // Overlap ablation: the same bc job with one source request in
+        // flight per worker instead of a pipelined window, so each worker
+        // idles while its vector crosses the wire. On a single-core host
+        // the two are expected to be close (nothing truly runs
+        // concurrently); the row quantifies the pipelining win elsewhere.
         coord.set_overlap(false);
         t.restart();
         const auto got = coord.betweenness(bc_sources);

@@ -9,9 +9,9 @@
 ///   ./kernel_profile [--scale 16] [--sources 256] [--threads N] [--quick]
 ///
 /// Covers the single-process kernels only; the distributed betweenness
-/// path has its own phase spans (dist.bc.forward / dist.bc.backward /
-/// dist.bc.exchange / dist.bc.gather — see the phase table in
-/// docs/PERFORMANCE.md) and is profiled by bench/dist_profile.
+/// path has its own phase spans (dist.bc.wait / dist.bc.accumulate — see
+/// the phase table in docs/PERFORMANCE.md) and is profiled by
+/// bench/dist_profile.
 ///
 /// stdout carries only JSON lines; progress goes to stderr.
 

@@ -3,9 +3,8 @@
 /// \file bc_accum.hpp
 /// The canonical 4-lane branchless accumulation rows shared by every sigma
 /// / dependency sweep in the repo: the top-down pull and the fused
-/// bottom-up sweep in algs/bfs.cpp, the coefficient-form backward pass in
-/// core/betweenness.cpp, and the distributed betweenness worker in
-/// dist/worker.cpp.
+/// bottom-up sweep in algs/bfs.cpp and the coefficient-form backward pass
+/// in core/betweenness.cpp (which the distributed workers also run).
 ///
 /// These helpers ARE the bit-identity contract. A per-vertex sum is: four
 /// independent accumulator lanes assigned by neighbor index (j % 4), each

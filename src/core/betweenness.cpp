@@ -104,13 +104,50 @@ struct NarrowAdjacency {
   [[nodiscard]] bool active() const { return !offsets.empty(); }
 };
 
+/// Narrow the adjacency to 32-bit ids when ids fit and the copy fits the
+/// score-memory budget; otherwise return an inactive (empty) copy and the
+/// sweep reads the GraphView directly.
+NarrowAdjacency narrow_adjacency(const GraphView& g,
+                                 const BetweennessOptions& opts) {
+  NarrowAdjacency na;
+  const vid n = g.num_vertices();
+  if (n > std::numeric_limits<std::int32_t>::max() ||
+      static_cast<std::uint64_t>(g.num_adjacency_entries()) *
+              sizeof(std::int32_t) >
+          opts.score_memory_budget_bytes) {
+    return na;
+  }
+  GCT_SPAN("bc.narrow_adjacency");
+  na.offsets.resize(static_cast<std::size_t>(n) + 1);
+  na.adj.resize(static_cast<std::size_t>(g.num_adjacency_entries()));
+  eid pos = 0;
+  for (vid v = 0; v < n; ++v) {
+    na.offsets[static_cast<std::size_t>(v)] = pos;
+    for (vid u : g.neighbors(v)) {
+      na.adj[static_cast<std::size_t>(pos++)] = static_cast<std::int32_t>(u);
+    }
+  }
+  na.offsets[static_cast<std::size_t>(n)] = pos;
+  return na;
+}
+
+/// Hybrid-sweep settings for a planned forward engine.
+BcSweepOptions sweep_options(const BetweennessOptions& opts,
+                             BcForwardEngine forward) {
+  BcSweepOptions sweep;
+  sweep.hybrid = forward == BcForwardEngine::kHybrid;
+  if (opts.sweep_alpha > 0.0) sweep.alpha = opts.sweep_alpha;
+  if (opts.sweep_beta > 0.0) sweep.beta = opts.sweep_beta;
+  return sweep;
+}
+
 /// One backward dependency sweep, deepest level first, over the packed
 /// distance+coefficient array (already loaded with this source's
 /// distances). `nbrs_of(v)` yields v's neighbor span — int32 from the
 /// narrowed copy or vid from the GraphView — hence the template.
 template <typename NbrFn>
 void backward_sweep_impl(const GraphView& g, vid s, const BfsResult& b,
-                         BcWorkspace& ws, std::vector<double>& score,
+                         BcWorkspace& ws, std::span<double> score,
                          const NbrFn& nbrs_of, int nthreads, bool profiling) {
   const auto& sigma = ws.sigma;
   DistCoef* dc = ws.dc.data();
@@ -167,7 +204,7 @@ void backward_sweep_impl(const GraphView& g, vid s, const BfsResult& b,
 }
 
 void backward_sweep(const GraphView& g, vid s, const BfsResult& b,
-                    BcWorkspace& ws, std::vector<double>& score,
+                    BcWorkspace& ws, std::span<double> score,
                     const NarrowAdjacency& na, int nthreads, bool profiling) {
   if (na.active()) {
     const eid* off = na.offsets.data();
@@ -202,7 +239,7 @@ void backward_sweep(const GraphView& g, vid s, const BfsResult& b,
 /// scheduled through the work-stealing queue; under coarse mode
 /// stealing_for detects the enclosing parallel region and runs inline.
 void accumulate_source(const GraphView& g, vid s, BcWorkspace& ws,
-                       std::vector<double>& score,
+                       std::span<double> score,
                        const BcSweepOptions& sweep,
                        const NarrowAdjacency& na) {
   BfsResult& b = ws.bfs_buffer;
@@ -399,48 +436,18 @@ BetweennessResult betweenness_impl(const GraphView& g,
   result.parallelism_used = plan.mode;
   result.forward_used = plan.forward;
 
-  BcSweepOptions sweep;
-  sweep.hybrid = plan.forward == BcForwardEngine::kHybrid;
-  if (opts.sweep_alpha > 0.0) sweep.alpha = opts.sweep_alpha;
-  if (opts.sweep_beta > 0.0) sweep.beta = opts.sweep_beta;
-
-  // Narrow the adjacency to 32-bit ids once for the whole run when ids fit
-  // and the copy fits the score-memory budget: the backward sweep streams
-  // the full adjacency array per source, so halving its width halves the
-  // dominant memory traffic of the kernel (and the cache pollution that
-  // keeps evicting the per-vertex state). Skipped for graphs too large to
-  // narrow — the sweep then reads the GraphView directly.
-  NarrowAdjacency na;
-  if (n <= std::numeric_limits<std::int32_t>::max() &&
-      static_cast<std::uint64_t>(g.num_adjacency_entries()) *
-              sizeof(std::int32_t) <=
-          opts.score_memory_budget_bytes) {
-    GCT_SPAN("bc.narrow_adjacency");
-    na.offsets.resize(static_cast<std::size_t>(n) + 1);
-    na.adj.resize(static_cast<std::size_t>(g.num_adjacency_entries()));
-    eid pos = 0;
-    for (vid v = 0; v < n; ++v) {
-      na.offsets[static_cast<std::size_t>(v)] = pos;
-      for (vid u : g.neighbors(v)) {
-        na.adj[static_cast<std::size_t>(pos++)] =
-            static_cast<std::int32_t>(u);
-      }
-    }
-    na.offsets[static_cast<std::size_t>(n)] = pos;
-  }
-
   if (plan.mode == BcParallelism::kFine) {
     // Sources serial; each sweep is level-parallel (work-stealing chunks,
     // no atomics — every write is per-vertex exclusive). The per-source
     // sweeps record exact work counters into the bc.forward_td /
     // bc.forward_bu / bc.backward phases (fine mode runs on the profiling
     // thread).
+    BcSourceEngine engine(g, opts);
     GCT_SPAN("bc.accumulate");
-    BcWorkspace ws(n);
-    for (vid s : sources) {
-      accumulate_source(g, s, ws, result.score, sweep, na);
-    }
+    for (vid s : sources) engine.accumulate(s, result.score);
   } else {
+    const BcSweepOptions sweep = sweep_options(opts, plan.forward);
+    const NarrowAdjacency na = narrow_adjacency(g, opts);
     // Coarse: sources in parallel across a buffer team, batch by batch; each
     // batch ends with a parallel tree reduction that folds the buffers into
     // the global scores and re-zeroes them for the next batch, so peak
@@ -502,6 +509,35 @@ BetweennessResult betweenness_impl(const GraphView& g,
 }
 
 }  // namespace
+
+struct BcSourceEngine::State {
+  GraphView g;
+  BcSweepOptions sweep;
+  NarrowAdjacency na;
+  BcWorkspace ws;
+};
+
+BcSourceEngine::BcSourceEngine(const GraphView& g,
+                               const BetweennessOptions& opts,
+                               bool narrow_adjacency_copy)
+    : st_(std::make_unique<State>(State{
+          g,
+          sweep_options(opts, plan_betweenness(g.num_vertices(), 1, 1, opts,
+                                               g.directed())
+                                  .forward),
+          narrow_adjacency_copy ? narrow_adjacency(g, opts)
+                                : NarrowAdjacency{},
+          BcWorkspace(g.num_vertices())})) {}
+
+BcSourceEngine::~BcSourceEngine() = default;
+
+void BcSourceEngine::accumulate(vid s, std::span<double> score) {
+  GCT_CHECK(s >= 0 && s < st_->g.num_vertices(),
+            "betweenness: source out of range");
+  GCT_CHECK(static_cast<vid>(score.size()) == st_->g.num_vertices(),
+            "betweenness: score span does not match the graph");
+  accumulate_source(st_->g, s, st_->ws, score, st_->sweep, st_->na);
+}
 
 BetweennessResult betweenness_centrality(const GraphView& g,
                                          const BetweennessOptions& opts) {

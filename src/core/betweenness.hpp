@@ -15,11 +15,18 @@
 ///  * coarse — independent sources run concurrently, each with O(m+n)
 ///    private storage, per-thread score buffers reduced at the end;
 ///  * fine — one source at a time, with the BFS, path-count, and dependency
-///    sweeps parallel across each level and atomic fetch-and-add the only
-///    synchronization. (On one socket, coarse wins when sources are many;
-///    fine is the XMT-style mode and the ablation point.)
+///    sweeps parallel across each level. The dependency sweep pulls over
+///    each vertex's own adjacency row, so its writes are per-vertex
+///    exclusive and need no atomics, and scores are bitwise equal at any
+///    thread count. (On one socket, coarse wins when sources are many; fine
+///    is the XMT-style mode and the ablation point.)
+///
+/// BcSourceEngine exposes fine mode's per-source pass on its own; the
+/// distributed workers (dist/worker.hpp) run their sources through it.
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -30,7 +37,7 @@ namespace graphct {
 /// How per-source contributions reach the global score array.
 enum class BcParallelism {
   kCoarse,  ///< parallel over sources, per-thread buffers
-  kFine,    ///< sources serial, level-parallel sweeps with atomics
+  kFine,    ///< sources serial, level-parallel sweeps (atomic-free)
   kAuto,    ///< memory-bounded coarse: buffer team sized to the score
             ///< memory budget, sources in batches with a parallel tree
             ///< reduction per batch; falls back to kFine when even two
@@ -146,5 +153,34 @@ BetweennessResult directed_betweenness_centrality(
 /// harnesses that must reuse one sample across kernels.
 std::vector<vid> choose_sources(const GraphView& g,
                                 const BetweennessOptions& opts);
+
+/// One source's Brandes pass: the loop body of fine mode, which runs every
+/// source through this engine. Holds the per-source workspace (sigma, the
+/// packed distance+coefficient state, BFS buffers) sized once for `g` and
+/// reused across sources. Each pass is level-parallel over the caller's
+/// OpenMP threads and bitwise independent of their number.
+class BcSourceEngine {
+ public:
+  /// Plans the forward engine and sweep thresholds from `opts` exactly as
+  /// betweenness_centrality does. `narrow_adjacency` allows the one-time
+  /// int32 adjacency copy (built only when ids fit and the copy fits
+  /// opts.score_memory_budget_bytes); false reads `g` directly, which
+  /// gives the same scores with one adjacency copy less.
+  explicit BcSourceEngine(const GraphView& g,
+                          const BetweennessOptions& opts = {},
+                          bool narrow_adjacency = true);
+  ~BcSourceEngine();
+  BcSourceEngine(const BcSourceEngine&) = delete;
+  BcSourceEngine& operator=(const BcSourceEngine&) = delete;
+
+  /// Add source s's dependencies into `score` (size n): score[v] +=
+  /// delta_s(v) for every v != s with a deeper neighbor on a shortest
+  /// path from s; every other entry is untouched.
+  void accumulate(vid s, std::span<double> score);
+
+ private:
+  struct State;
+  std::unique_ptr<State> st_;
+};
 
 }  // namespace graphct

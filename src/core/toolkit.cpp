@@ -268,20 +268,13 @@ const BetweennessResult& Toolkit::betweenness_dist(
         Timer timer;
         const vid n = view().num_vertices();
         const std::vector<vid> sources = choose_sources(view(), opts);
-        // Source batching bounds how long a gather can lag: reuse the
-        // single-process plan's memory-budget arithmetic at one thread
-        // (fine mode plans batch_sources = 0 = one batch).
-        const BcPlan plan =
-            plan_betweenness(n, static_cast<std::int64_t>(sources.size()),
-                             /*threads=*/1, opts, /*directed=*/false);
         BetweennessResult result;
-        result.score = coord.betweenness(sources, plan.batch_sources);
+        result.score = coord.betweenness(sources);
         result.sources_used = static_cast<std::int64_t>(sources.size());
-        // Workers accumulate in fine-mode per-source order; the forward
-        // sweep is the top-down push (there is no distributed pull).
+        // Workers run fine mode's per-source engine and the coordinator
+        // adds in fine mode's source order.
         result.parallelism_used = BcParallelism::kFine;
-        result.forward_used = BcForwardEngine::kTopDown;
-        result.batches = plan.batch_sources > 0 ? plan.num_batches : 0;
+        result.forward_used = BcForwardEngine::kHybrid;
         if (opts.rescale && result.sources_used > 0 &&
             result.sources_used < n) {
           // Same multiply as the single-process rescale: bit-neutral.

@@ -174,9 +174,9 @@ class Toolkit {
 
   /// Distributed betweenness: sources are chosen single-process
   /// (choose_sources, so the sample is identical to the single-process
-  /// kernel's) and gather batching reuses the BcPlan memory-budget
-  /// arithmetic at one thread. Scores are bit-identical to the fine-mode
-  /// single-process kernel over the same sources.
+  /// kernel's) and run source-partitioned on the workers. Scores are
+  /// bit-identical to the fine-mode single-process kernel over the same
+  /// sources.
   const BetweennessResult& betweenness_dist(dist::Coordinator& coord,
                                             const BetweennessOptions& opts = {});
 

@@ -6,8 +6,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
-#include "graph/transforms.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -16,6 +16,11 @@
 namespace graphct::dist {
 
 namespace {
+
+// Source requests each worker holds in overlapped betweenness: enough that
+// a worker always has its next source queued while the previous vector
+// crosses the wire.
+constexpr std::int64_t kBcPipelineDepth = 4;
 
 obs::Counter& steps_counter(const char* kernel) {
   return obs::registry().counter(
@@ -61,10 +66,17 @@ void Coordinator::fail(int worker, const std::string& what,
               "single-process kernels");
 }
 
-void Coordinator::send_to(int w, Msg type, std::string payload,
+void Coordinator::send_to(int w, Msg type, std::string_view payload,
                           const char* what) {
+  send_frame_to(
+      w, framing::encode_frame(static_cast<std::uint8_t>(type), payload),
+      what);
+}
+
+void Coordinator::send_frame_to(int w, std::string_view frame,
+                                const char* what) {
   try {
-    conns_[static_cast<std::size_t>(w)].send(type, payload);
+    conns_[static_cast<std::size_t>(w)].send_frame(frame);
   } catch (const Error& e) {
     fail(w, what, e.what());
   }
@@ -205,49 +217,18 @@ void Coordinator::connect(const std::vector<int>& ports) {
   for (const int port : ports) conns_.push_back(connect_local(port));
   for (int w = 0; w < num_workers(); ++w) {
     WireWriter hello;
-    hello.u64(1);  // protocol version
+    hello.u64(kProtocolVersion);
+    hello.i64(w);
+    hello.i64(num_workers());
     send_to(w, Msg::kHello, hello.take(), "handshake");
   }
   for (int w = 0; w < num_workers(); ++w) {
     const std::string ack = recv_from(w, Msg::kHelloAck, "handshake");
     WireReader r(ack);
     const std::uint64_t version = r.u64();
-    if (version != 1) {
+    if (version != kProtocolVersion) {
       fail(w, "handshake",
            "worker speaks protocol version " + std::to_string(version));
-    }
-  }
-}
-
-void Coordinator::ship_blocks(const CsrGraph& g, std::uint8_t slot) {
-  const auto offsets = g.offsets();
-  const auto adj = g.adjacency();
-  for (int w = 0; w < num_workers(); ++w) {
-    const BlockInfo& b = partition_.blocks[static_cast<std::size_t>(w)];
-    const eid lo = offsets[static_cast<std::size_t>(b.begin)];
-    const eid hi = offsets[static_cast<std::size_t>(b.end)];
-    WireWriter msg;
-    msg.u8(slot);
-    msg.u8(g.directed() ? 1 : 0);
-    msg.i64(g.num_vertices());
-    msg.i64(b.begin);
-    msg.i64(b.end);
-    msg.i64_span(offsets.subspan(static_cast<std::size_t>(b.begin),
-                                 static_cast<std::size_t>(b.end - b.begin) +
-                                     1));
-    msg.i64_span(adj.subspan(static_cast<std::size_t>(lo),
-                             static_cast<std::size_t>(hi - lo)));
-    send_to(w, Msg::kLoadBlock, msg.take(), "load");
-  }
-  for (int w = 0; w < num_workers(); ++w) {
-    const std::string ack = recv_from(w, Msg::kLoadAck, "load");
-    WireReader r(ack);
-    const std::uint8_t acked_slot = r.u8();
-    const std::int64_t entries = r.i64();
-    const BlockInfo& b = partition_.blocks[static_cast<std::size_t>(w)];
-    if (acked_slot != slot ||
-        (slot == kSlotPrimary && entries != b.entries)) {
-      fail(w, "load", "load-ack does not match the shipped block");
     }
   }
 }
@@ -262,11 +243,37 @@ void Coordinator::load_graph(const CsrGraph& g) {
   for (vid v = 0; v < global_n_; ++v) {
     out_degree_[static_cast<std::size_t>(v)] = g.degree(v);
   }
-  ship_blocks(g, kSlotPrimary);
-  if (directed_) {
-    // Directed PageRank pulls over in-edges; ship the partitioned reverse
-    // graph (same owner ranges) as the aux slot.
-    ship_blocks(reverse(g), kSlotReverse);
+
+  // One payload for every worker: the whole graph plus every block's
+  // bounds (a worker owns the block at the index it got at hello), encoded
+  // and checksummed once. Ids that fit 32 bits ship as int32, narrowed
+  // straight into the payload.
+  std::vector<std::int64_t> bounds;
+  bounds.reserve(partition_.blocks.size() + 1);
+  for (const BlockInfo& b : partition_.blocks) bounds.push_back(b.begin);
+  bounds.push_back(global_n_);
+  WireWriter msg;
+  msg.u8(directed_ ? 1 : 0);
+  msg.u8(g.sorted_adjacency() ? 1 : 0);
+  msg.i64(g.num_self_loops());
+  msg.i64_span(bounds);
+  msg.i64_span(g.offsets());
+  if (global_n_ <= std::numeric_limits<std::int32_t>::max()) {
+    msg.u8(4);
+    msg.i32_span(g.adjacency());
+  } else {
+    msg.u8(8);
+    msg.i64_span(g.adjacency());
+  }
+  const std::string frame = framing::encode_frame(
+      static_cast<std::uint8_t>(Msg::kLoadBlock), msg.take());
+  for (int w = 0; w < num_workers(); ++w) send_frame_to(w, frame, "load");
+  for (int w = 0; w < num_workers(); ++w) {
+    const std::string ack = recv_from(w, Msg::kLoadAck, "load");
+    WireReader r(ack);
+    if (r.i64() != g.num_adjacency_entries()) {
+      fail(w, "load", "load-ack does not match the shipped graph");
+    }
   }
   loaded_ = true;
 }
@@ -429,12 +436,8 @@ PageRankResult Coordinator::pagerank(const PageRankOptions& opts) {
   PageRankResult result;
   if (global_n_ == 0) return result;
 
-  {
-    WireWriter msg;
-    msg.u8(directed_ ? kSlotReverse : kSlotPrimary);
-    exchange(Msg::kPrStart, {msg.take()}, Msg::kAck, "pagerank",
-             [](int, std::string&) {});
-  }
+  exchange(Msg::kPrStart, {std::string()}, Msg::kAck, "pagerank",
+           [](int, std::string&) {});
 
   const double inv_n = 1.0 / static_cast<double>(global_n_);
   std::vector<double> rank(static_cast<std::size_t>(global_n_), inv_n);
@@ -499,8 +502,7 @@ PageRankResult Coordinator::pagerank(const PageRankOptions& opts) {
   return result;
 }
 
-std::vector<double> Coordinator::betweenness(std::span<const vid> sources,
-                                             std::int64_t batch_sources) {
+std::vector<double> Coordinator::betweenness(std::span<const vid> sources) {
   begin_kernel();
   GCT_CHECK(!directed_,
             "dist bc: distributed betweenness requires an undirected graph");
@@ -509,162 +511,50 @@ std::vector<double> Coordinator::betweenness(std::span<const vid> sources,
     GCT_CHECK(s >= 0 && s < global_n_, "dist bc: source out of range");
   }
   obs::KernelScope scope("dist.bc");
-  std::vector<double> score(static_cast<std::size_t>(global_n_), 0.0);
-  std::int64_t steps = 0;
+  const auto n = static_cast<std::size_t>(global_n_);
+  const auto k = static_cast<std::int64_t>(sources.size());
+  const int nw = num_workers();
 
-  const auto noop = [](int, std::string&) {};
-  exchange(Msg::kBcStart, {std::string()}, Msg::kAck, "bc", noop);
-  ++steps;
-
-  // Coordinator-side per-source state. `dist` dedups candidate proposals
-  // (workers propose across block boundaries); `levels` keeps every
-  // frontier because the backward sweep re-slices them per worker.
-  std::vector<vid> dist(static_cast<std::size_t>(global_n_));
-  std::vector<std::vector<vid>> levels;
-  std::vector<double> sigma_prev;
-  std::vector<double> values;
-  std::vector<std::int64_t> candidates;
-  std::vector<double> block;
-
-  // Copy one worker's reply values into its owned slice of a buffer
-  // aligned to the sorted frontier `f`.
-  const auto place_slice = [&](const std::vector<vid>& f,
-                               std::vector<double>& out, int w,
-                               const char* what, std::string& reply) {
-    WireReader r(reply);
-    r.f64_vec(block);
-    const auto [off, len] = owned_span(f, w);
-    if (static_cast<std::int64_t>(block.size()) != len) {
-      fail(w, what, "value slice length mismatch");
-    }
-    std::copy(block.begin(), block.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(off));
+  // Source i runs on worker i % nw, and a worker answers its requests in
+  // order, so reply i is worker (i % nw)'s next frame. Each worker holds
+  // up to `depth` requests: overlapped, it computes its next source while
+  // the last vector crosses the wire; lockstep (depth 1), it idles for
+  // every round trip. Requests are tiny and bounded by the depth, so the
+  // blocking sends below can never stall on a worker that is itself
+  // blocked sending a reply.
+  const std::int64_t depth = overlap_ ? kBcPipelineDepth : 1;
+  const std::int64_t ahead = std::min<std::int64_t>(k, depth * nw);
+  const auto request = [&](std::int64_t i) {
+    WireWriter msg;
+    msg.i64(sources[static_cast<std::size_t>(i)]);
+    send_to(static_cast<int>(i % nw), Msg::kBcRun, msg.take(), "bc");
   };
+  for (std::int64_t i = 0; i < ahead; ++i) request(i);
 
-  const std::int64_t num_sources = static_cast<std::int64_t>(sources.size());
-  const std::int64_t batch =
-      batch_sources > 0 ? batch_sources : num_sources;
-  for (std::int64_t b0 = 0; b0 < num_sources; b0 += batch) {
-    const std::int64_t b1 = std::min(b0 + batch, num_sources);
-    for (std::int64_t si = b0; si < b1; ++si) {
-      const vid source = sources[static_cast<std::size_t>(si)];
-      std::fill(dist.begin(), dist.end(), kNoVertex);
-      dist[static_cast<std::size_t>(source)] = 0;
-      levels.clear();
-      levels.push_back({source});
-      sigma_prev.assign(1, 1.0);
-      {
-        WireWriter msg;
-        msg.i64(source);
-        exchange(Msg::kBcSource, {msg.take()}, Msg::kAck, "bc", noop);
-        ++steps;
-      }
-
-      // Forward: per level, (A) broadcast sigma of the settled frontier
-      // and collect next-level candidates, (B) broadcast the merged
-      // frontier and collect its sigma slices. The loop's final kBcForward
-      // (empty candidates) has already scattered the deepest sigma, so
-      // the backward sweep needs no extra priming round.
-      {
-        GCT_SPAN("dist.bc.forward");
-        for (std::int64_t d = 1;; ++d) {
-          Timer step_timer;
-          std::vector<vid> next;
-          {
-            GCT_SPAN("dist.bc.exchange");
-            WireWriter msg;
-            msg.u64(static_cast<std::uint64_t>(d));
-            msg.f64_span(sigma_prev);
-            exchange(Msg::kBcForward, {msg.take()}, Msg::kBcCandidates,
-                     "bc.forward", [&](int, std::string& reply) {
-                       WireReader r(reply);
-                       r.i64_vec(candidates);
-                       for (const std::int64_t c : candidates) {
-                         auto& dc = dist[static_cast<std::size_t>(c)];
-                         if (dc == kNoVertex) {
-                           dc = d;
-                           next.push_back(static_cast<vid>(c));
-                         }
-                       }
-                     });
-            ++steps;
-          }
-          if (next.empty()) {
-            step_seconds().observe(step_timer.seconds());
-            break;
-          }
-          std::sort(next.begin(), next.end());
-          values.resize(next.size());
-          {
-            GCT_SPAN("dist.bc.exchange");
-            WireWriter msg;
-            msg.u64(static_cast<std::uint64_t>(d));
-            msg.i64_span(next);
-            exchange(Msg::kBcSigma, {msg.take()}, Msg::kBcSigmaBlock,
-                     "bc.forward", [&](int w, std::string& reply) {
-                       place_slice(next, values, w, "bc.forward", reply);
-                     });
-            ++steps;
-          }
-          obs::add_work(static_cast<std::int64_t>(next.size()), 0);
-          sigma_prev = values;
-          levels.push_back(std::move(next));
-          step_seconds().observe(step_timer.seconds());
-        }
-      }
-
-      // Backward, deepest level first: broadcast the coefficients one
-      // level deeper (empty at the deepest level) and collect this
-      // level's coefficient slices. Workers fold dependency deltas into
-      // their owned score blocks as they go.
-      {
-        GCT_SPAN("dist.bc.backward");
-        std::vector<double> coef_below;
-        for (std::int64_t d = static_cast<std::int64_t>(levels.size()) - 1;
-             d >= 0; --d) {
-          Timer step_timer;
-          const std::vector<vid>& f = levels[static_cast<std::size_t>(d)];
-          values.resize(f.size());
-          {
-            GCT_SPAN("dist.bc.exchange");
-            WireWriter msg;
-            msg.u64(static_cast<std::uint64_t>(d));
-            msg.f64_span(coef_below);
-            exchange(Msg::kBcBackward, {msg.take()}, Msg::kBcCoefBlock,
-                     "bc.backward", [&](int w, std::string& reply) {
-                       place_slice(f, values, w, "bc.backward", reply);
-                     });
-            ++steps;
-          }
-          coef_below.swap(values);
-          step_seconds().observe(step_timer.seconds());
-        }
-      }
-    }
-
-    // Batch boundary: gather the accumulated owned score blocks. Workers
-    // keep accumulating across batches, so each gather overwrites the
-    // coordinator's copy — the last one is the full sum.
+  std::vector<double> score(n, 0.0);
+  std::vector<double> delta;
+  std::string reply;
+  for (std::int64_t i = 0; i < k; ++i) {
+    Timer step_timer;
+    const int w = static_cast<int>(i % nw);
     {
-      GCT_SPAN("dist.bc.gather");
-      exchange(Msg::kBcScores, {std::string()}, Msg::kBcScoreBlock,
-               "bc.gather", [&](int w, std::string& reply) {
-                 WireReader r(reply);
-                 r.f64_vec(block);
-                 const BlockInfo& bi =
-                     partition_.blocks[static_cast<std::size_t>(w)];
-                 if (static_cast<vid>(block.size()) != bi.num_vertices()) {
-                   fail(w, "bc.gather", "score block length mismatch");
-                 }
-                 std::copy(block.begin(), block.end(),
-                           score.begin() +
-                               static_cast<std::ptrdiff_t>(bi.begin));
-               });
-      ++steps;
+      GCT_SPAN("dist.bc.wait");
+      reply = recv_from(w, Msg::kBcDelta, "bc");
     }
+    if (i + ahead < k) request(i + ahead);  // same worker: ahead % nw == 0
+    GCT_SPAN("dist.bc.accumulate");
+    WireReader r(reply);
+    r.f64_vec(delta);
+    if (delta.size() != n) {
+      fail(w, "bc", "dependency vector length mismatch");
+    }
+    // Sources add in the caller's order: fine mode's score[v] += dv
+    // sequence, bit for bit (entries a source does not reach are +0.0).
+    for (std::size_t v = 0; v < n; ++v) score[v] += delta[v];
+    step_seconds().observe(step_timer.seconds());
   }
-
-  end_kernel("bc", steps);
+  obs::add_work(k * global_n_, 0);
+  end_kernel("bc", k);
   return score;
 }
 

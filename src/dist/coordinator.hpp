@@ -6,10 +6,10 @@
 ///
 /// graphctd and the CLI embed a Coordinator per distributed job context:
 /// connect() performs the hello handshake against already-listening
-/// workers, load_graph() partitions a CsrGraph into 1-D vertex blocks
-/// (dist/partition.hpp) and ships each worker its slice (plus the
-/// partitioned reverse graph when the input is directed, for PageRank's
-/// pull), and the three kernel entry points run superstep loops:
+/// workers (telling each its index), load_graph() partitions a CsrGraph
+/// into 1-D vertex blocks (dist/partition.hpp) and ships every worker the
+/// whole graph plus the block bounds in one shared frame, and the kernel
+/// entry points run:
 ///
 ///   * bfs_distances — frontier exchange per level; the coordinator owns
 ///     the global distance array, sends each worker its owned frontier
@@ -24,23 +24,26 @@
 ///     the dangling redistribution, workers accumulate owned rows in the
 ///     single-process kernel's adjacency order. Per-vertex sums match to
 ///     the last ulp modulo the dangling-mass reduction order.
-///   * betweenness — Brandes per source: a forward sweep exchanging
-///     per-level frontiers + sigma, then a level-synchronous backward
-///     sweep exchanging coefficients (the PR 9 coefficient form — no
-///     atomics cross the wire). Workers accumulate owned score blocks
-///     across all sources; every sum runs through the canonical 4-lane
-///     rows (algs/bc_accum.hpp), so scores are **bit-identical** to
-///     single-process fine-mode betweenness_centrality at any worker or
-///     worker-thread count.
+///   * betweenness — partitioned by source, not by vertex: source i runs
+///     on worker i mod N through the single-process engine
+///     (core/betweenness.hpp BcSourceEngine) over that worker's full copy
+///     of the graph, and comes back as one dependency vector. The
+///     coordinator adds the vectors into the scores in the caller's source
+///     order — fine mode's own add order — so scores are
+///     **bit-identical** to single-process fine-mode
+///     betweenness_centrality at any worker or worker-thread count. One
+///     request and one reply per source; no per-level supersteps.
 ///
-/// Exchanges default to the overlapped engine (set_overlap): requests are
-/// queued into per-connection outboxes and a poll() loop drives every
-/// socket at once, merging each worker's reply the moment it completes —
-/// so one worker's compute overlaps another's transfer, and the
-/// coordinator never blocks on a send (the lockstep deadlock-freedom
-/// argument, strengthened). All merge callbacks are order-independent
-/// (first-assignment + sort, monotone min, or disjoint block copies), so
-/// results are identical to lockstep delivery.
+/// BFS, components and PageRank exchanges default to the overlapped
+/// engine (set_overlap): requests are queued into per-connection outboxes
+/// and a poll() loop drives every socket at once, merging each worker's
+/// reply the moment it completes — so one worker's compute overlaps
+/// another's transfer, and the coordinator never blocks on a send. All
+/// merge callbacks are order-independent (first-assignment + sort,
+/// monotone min, or disjoint block copies), so results are identical to
+/// lockstep delivery. Betweenness overlaps by pipelining instead: each
+/// worker holds several source requests, so it computes the next source
+/// while the previous vector crosses the wire.
 ///
 /// ## Failure semantics
 ///
@@ -57,6 +60,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algs/pagerank.hpp"
@@ -85,9 +89,11 @@ class Coordinator {
   /// Connect to workers listening on 127.0.0.1:ports[i] and handshake.
   void connect(const std::vector<int>& ports);
 
-  /// Partition `g` across the connected workers and ship every block.
-  /// Directed graphs also ship the partitioned reverse graph (PageRank's
-  /// pull slot). May be called again to load a different graph.
+  /// Partition `g` across the connected workers and ship every worker the
+  /// whole graph (int32 ids when they fit) with the block bounds, in one
+  /// frame encoded once. Each worker keeps its own block for BFS,
+  /// components and PageRank, and the full graph for betweenness. May be
+  /// called again to load a different graph.
   void load_graph(const CsrGraph& g);
 
   [[nodiscard]] int num_workers() const {
@@ -109,16 +115,15 @@ class Coordinator {
   PageRankResult pagerank(const PageRankOptions& opts = {});
 
   /// Distributed Brandes betweenness from the given sources (undirected
-  /// graphs only). Sources run in coordinator order; `batch_sources` > 0
-  /// gathers the accumulated score blocks after every batch (the caller
-  /// derives it from core's BcPlan memory-budget machinery; 0 = one
-  /// batch). Returns unrescaled scores, bit-identical to single-process
-  /// fine-mode accumulation over the same source list.
-  std::vector<double> betweenness(std::span<const vid> sources,
-                                  std::int64_t batch_sources = 0);
+  /// graphs only), source-partitioned round-robin across the workers.
+  /// Memory is one dependency vector at a time, however many sources.
+  /// Returns unrescaled scores, bit-identical to single-process fine-mode
+  /// accumulation over the same source list.
+  std::vector<double> betweenness(std::span<const vid> sources);
 
   /// Toggle the overlapped exchange engine (default on). Off = the PR 6
-  /// lockstep send-all-then-receive-in-order loop, kept for the overlap
+  /// lockstep send-all-then-receive-in-order loop, and betweenness with
+  /// one source request in flight per worker; kept for the overlap
   /// ablation in bench/dist_profile.
   void set_overlap(bool on) { overlap_ = on; }
   [[nodiscard]] bool overlap() const { return overlap_; }
@@ -149,7 +154,9 @@ class Coordinator {
   [[noreturn]] void fail(int worker, const std::string& what,
                          const std::string& detail);
   /// Send one request to worker w (failure -> fail()).
-  void send_to(int w, Msg type, std::string payload, const char* what);
+  void send_to(int w, Msg type, std::string_view payload, const char* what);
+  /// Send an already-encoded frame to worker w (failure -> fail()).
+  void send_frame_to(int w, std::string_view frame, const char* what);
   /// Receive worker w's reply, demanding `expect` (kError -> fail()).
   std::string recv_from(int w, Msg expect, const char* what);
   /// One superstep round: send `payloads[w]` (or `payloads[0]` to every
@@ -163,8 +170,6 @@ class Coordinator {
   /// Worker w's owned slice [offset, offset+len) of a sorted vertex list.
   std::pair<std::int64_t, std::int64_t> owned_span(
       const std::vector<vid>& sorted, int w) const;
-  /// Ship one graph's blocks into `slot` using the current partition.
-  void ship_blocks(const CsrGraph& g, std::uint8_t slot);
   DistStats snapshot_traffic() const;
   void begin_kernel();
   void end_kernel(const char* kernel, std::int64_t steps);

@@ -34,16 +34,8 @@ const char* msg_name(Msg m) {
     case Msg::kAck: return "ack";
     case Msg::kError: return "error";
     case Msg::kShutdown: return "shutdown";
-    case Msg::kBcStart: return "bc-start";
-    case Msg::kBcSource: return "bc-source";
-    case Msg::kBcForward: return "bc-forward";
-    case Msg::kBcCandidates: return "bc-candidates";
-    case Msg::kBcSigma: return "bc-sigma";
-    case Msg::kBcSigmaBlock: return "bc-sigma-block";
-    case Msg::kBcBackward: return "bc-backward";
-    case Msg::kBcCoefBlock: return "bc-coef-block";
-    case Msg::kBcScores: return "bc-scores";
-    case Msg::kBcScoreBlock: return "bc-score-block";
+    case Msg::kBcRun: return "bc-run";
+    case Msg::kBcDelta: return "bc-delta";
   }
   return "unknown";
 }
@@ -69,6 +61,22 @@ void WireWriter::i64_span(std::span<const std::int64_t> v) {
     buf_.append(reinterpret_cast<const char*>(v.data()), bytes);
   } else {
     for (const std::int64_t x : v) i64(x);
+  }
+}
+
+void WireWriter::i32_span(std::span<const std::int64_t> v) {
+  u64(v.size());
+  const std::size_t at = buf_.size();
+  buf_.resize(at + v.size() * sizeof(std::int32_t));
+  char* out = buf_.data() + at;
+  for (const std::int64_t x : v) {
+    const auto u = static_cast<std::uint32_t>(static_cast<std::int32_t>(x));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, &u, sizeof(u));  // one store; the loop vectorizes
+      out += sizeof(u);
+    } else {
+      for (int i = 0; i < 4; ++i) *out++ = static_cast<char>(u >> (8 * i));
+    }
   }
 }
 
@@ -125,11 +133,33 @@ void WireReader::i64_vec(std::vector<std::int64_t>& out) {
                                                  : n * sizeof(std::int64_t));
   out.resize(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data(), p_, n * sizeof(std::int64_t));
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (n != 0) std::memcpy(out.data(), p_, n * sizeof(std::int64_t));
     p_ += n * sizeof(std::int64_t);
   } else {
     for (std::uint64_t i = 0; i < n; ++i) out[i] = i64();
   }
+}
+
+void WireReader::i32_vec(std::vector<std::int64_t>& out) {
+  const std::uint64_t n = u64();
+  need(n > static_cast<std::uint64_t>(end_ - p_) ? static_cast<std::size_t>(-1)
+                                                 : n * sizeof(std::int32_t));
+  out.resize(n);
+  const auto* in = reinterpret_cast<const unsigned char*>(p_);
+  for (std::uint64_t i = 0; i < n; ++i, in += 4) {
+    std::uint32_t u;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&u, in, sizeof(u));
+    } else {
+      u = static_cast<std::uint32_t>(in[0]) |
+          static_cast<std::uint32_t>(in[1]) << 8 |
+          static_cast<std::uint32_t>(in[2]) << 16 |
+          static_cast<std::uint32_t>(in[3]) << 24;
+    }
+    out[i] = static_cast<std::int32_t>(u);
+  }
+  p_ += n * sizeof(std::int32_t);
 }
 
 void WireReader::f64_vec(std::vector<double>& out) {
@@ -138,7 +168,7 @@ void WireReader::f64_vec(std::vector<double>& out) {
                                                  : n * sizeof(double));
   out.resize(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data(), p_, n * sizeof(double));
+    if (n != 0) std::memcpy(out.data(), p_, n * sizeof(double));
     p_ += n * sizeof(double);
   } else {
     for (std::uint64_t i = 0; i < n; ++i) out[i] = f64();
@@ -251,9 +281,11 @@ void FrameConn::close() {
 }
 
 void FrameConn::send(Msg type, std::string_view payload) {
+  send_frame(framing::encode_frame(static_cast<std::uint8_t>(type), payload));
+}
+
+void FrameConn::send_frame(std::string_view frame) {
   GCT_CHECK(valid(), "dist wire: send on closed connection");
-  const std::string frame =
-      framing::encode_frame(static_cast<std::uint8_t>(type), payload);
   write_all(fd_, frame.data(), frame.size());
   traffic_.messages_sent += 1;
   traffic_.bytes_sent += static_cast<std::int64_t>(frame.size());

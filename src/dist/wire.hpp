@@ -10,12 +10,14 @@
 /// WireWriter and read back by WireReader with bounds-checked cursors — a
 /// truncated or corrupt payload throws, it never reads past the buffer.
 ///
-/// The protocol is a strict coordinator-driven request/reply: the
-/// coordinator sends one request per worker per superstep and each worker
-/// answers with exactly one reply (kError counts as the reply). Workers
-/// never talk to each other — all exchange is mediated by the coordinator
-/// (star topology), which is what keeps failure handling tractable: any
-/// I/O error on one socket fails exactly one in-flight kernel.
+/// The protocol is a strict coordinator-driven request/reply: a worker
+/// answers every request with exactly one reply, in request order (kError
+/// counts as the reply). Superstep kernels send one request per worker per
+/// step; distributed betweenness pipelines a short window of per-source
+/// requests on each connection. Workers never talk to each other — all
+/// exchange is mediated by the coordinator (star topology), which is what
+/// keeps failure handling tractable: any I/O error on one socket fails
+/// exactly one in-flight kernel.
 ///
 /// FrameConn tallies message/byte traffic into the process-global obs
 /// registry (`gct_dist_messages_total{dir=...}` /
@@ -32,47 +34,35 @@
 
 namespace graphct::dist {
 
+/// Protocol version carried by kHello; a worker speaking another version
+/// refuses the handshake.
+inline constexpr std::uint64_t kProtocolVersion = 2;
+
 /// Message types. The numeric values are wire format — append only.
 enum class Msg : std::uint8_t {
-  kHello = 1,      ///< coordinator -> worker: protocol handshake
+  kHello = 1,      ///< coordinator -> worker: version, worker index, count
   kHelloAck = 2,   ///< worker -> coordinator: version + pid
-  kLoadBlock = 3,  ///< ship one graph slot's block (offsets + adjacency)
-  kLoadAck = 4,    ///< block resident; echoes entry count
+  kLoadBlock = 3,  ///< the whole graph plus every worker's block bounds
+  kLoadAck = 4,    ///< graph resident; echoes the adjacency entry count
   kBfsStart = 5,   ///< begin a BFS (resets the proposal bitmap)
   kBfsStep = 6,    ///< owned frontier slice for this level
   kBfsFrontier = 7,  ///< deduped candidate discoveries
   kCcStart = 8,    ///< begin components (labels reset to identity)
   kCcStep = 9,     ///< label delta to apply; worker rescans owned rows
   kCcDelta = 10,   ///< proposed label minima from owned rows
-  kPrStart = 11,   ///< begin PageRank (selects the pull slot)
+  kPrStart = 11,   ///< begin PageRank
   kPrStep = 12,    ///< base + damping + full contrib vector
   kPrRanks = 13,   ///< next-rank values for the owned range
   kAck = 14,       ///< generic success reply
   kError = 15,     ///< worker-side failure; payload = message string
   kShutdown = 16,  ///< coordinator -> worker: clean exit after kAck
-  // Distributed betweenness supersteps. Forward: one expand + one sigma
-  // exchange per BFS level; backward: one coefficient exchange per level,
-  // deepest first (coefficient form — no atomics cross the wire).
-  kBcStart = 17,       ///< begin betweenness (zeroes the owned score block)
-  kBcSource = 18,      ///< per-source reset; payload = source vertex
-  kBcForward = 19,     ///< sigma of the previous frontier; expand owned rows
-  kBcCandidates = 20,  ///< proposed next-level discoveries
-  kBcSigma = 21,       ///< the merged new frontier; pull sigma for owned slice
-  kBcSigmaBlock = 22,  ///< sigma values for the owned frontier slice
-  kBcBackward = 23,    ///< coefs one level deeper; sweep the owned bucket
-  kBcCoefBlock = 24,   ///< coef values for the owned level bucket
-  kBcScores = 25,      ///< gather request for the accumulated score block
-  kBcScoreBlock = 26,  ///< owned score block (accumulated over all sources)
+  // 17-26 were protocol v1's per-level betweenness supersteps (retired).
+  kBcRun = 27,    ///< run one betweenness source; payload = source vertex
+  kBcDelta = 28,  ///< that source's dependency vector over all n vertices
 };
 
 /// Human-readable message name (diagnostics and error text).
 const char* msg_name(Msg m);
-
-/// Graph slots a worker can hold: the primary partition and, for directed
-/// PageRank, the partitioned reverse graph (pull needs in-edges).
-inline constexpr std::uint8_t kSlotPrimary = 0;
-inline constexpr std::uint8_t kSlotReverse = 1;
-inline constexpr int kNumSlots = 2;
 
 /// Append-only little-endian payload builder.
 class WireWriter {
@@ -84,6 +74,9 @@ class WireWriter {
 
   /// Length-prefixed array of i64 (vid/eid both encode through this).
   void i64_span(std::span<const std::int64_t> v);
+  /// Length-prefixed array of i64 values narrowed to 4 bytes each, written
+  /// straight into the payload. Every value must fit in int32.
+  void i32_span(std::span<const std::int64_t> v);
   void f64_span(std::span<const double> v);
 
   /// Length-prefixed UTF-8 string.
@@ -108,6 +101,8 @@ class WireReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
   void i64_vec(std::vector<std::int64_t>& out);
+  /// Read an i32_span array, widening each value back to i64.
+  void i32_vec(std::vector<std::int64_t>& out);
   void f64_vec(std::vector<double>& out);
   std::string str();
 
@@ -155,6 +150,9 @@ class FrameConn {
   void close();
 
   void send(Msg type, std::string_view payload);
+  /// Send a frame already encoded by framing::encode_frame — encode once,
+  /// send to many workers.
+  void send_frame(std::string_view frame);
   [[nodiscard]] bool recv(Msg& type, std::string& payload);
 
   /// Encode a frame into the outbox without touching the socket (counted

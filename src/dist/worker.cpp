@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "graph/transforms.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -23,15 +24,8 @@ namespace {
 constexpr std::int64_t kSweepChunk = 64;
 constexpr std::int64_t kSweepSerialBelow = 512;
 
-/// Owned contiguous slice of a sorted global vertex list: blocks are
-/// contiguous id ranges, so ownership is two binary searches.
-std::span<const std::int64_t> owned_slice(const std::vector<vid>& sorted,
-                                          vid begin, vid end) {
-  const auto lo = std::lower_bound(sorted.begin(), sorted.end(), begin);
-  const auto hi = std::lower_bound(lo, sorted.end(), end);
-  return {sorted.data() + (lo - sorted.begin()),
-          static_cast<std::size_t>(hi - lo)};
-}
+// Receive buffers above this size are released after their message.
+constexpr std::size_t kKeepPayloadBytes = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -77,6 +71,10 @@ void WorkerServer::release() {
 }
 
 void WorkerServer::serve() {
+  // Pin this thread's team size before any core code asks
+  // omp_get_max_threads(): a forked worker would otherwise inherit the
+  // parent's default team.
+  omp_set_num_threads(opts_.threads);
   int cfd = -1;
   for (;;) {
     const int lfd = listen_fd_.load();
@@ -127,6 +125,9 @@ void WorkerServer::serve() {
         return;
       }
     }
+    // A load leaves a graph-sized receive buffer behind; hand it back
+    // instead of carrying it through every later kernel.
+    if (payload.capacity() > kKeepPayloadBytes) std::string().swap(payload);
   }
 }
 
@@ -138,10 +139,14 @@ void WorkerServer::handle(Msg type, const std::string& payload,
   switch (type) {
     case Msg::kHello: {
       const std::uint64_t version = r.u64();
-      GCT_CHECK(version == 1,
+      GCT_CHECK(version == kProtocolVersion,
                 "dist worker: unsupported protocol version " +
                     std::to_string(version));
-      reply.u64(1);
+      index_ = r.i64();
+      num_workers_ = r.i64();
+      GCT_CHECK(num_workers_ >= 1 && index_ >= 0 && index_ < num_workers_,
+                "dist worker: bad worker index in hello");
+      reply.u64(kProtocolVersion);
       reply.u64(static_cast<std::uint64_t>(::getpid()));
       reply_type = Msg::kHelloAck;
       break;
@@ -150,77 +155,37 @@ void WorkerServer::handle(Msg type, const std::string& payload,
       handle_load(r, reply);
       reply_type = Msg::kLoadAck;
       break;
-    case Msg::kBfsStart: {
-      const auto& s = slots_[kSlotPrimary];
-      GCT_CHECK(s.present, "dist worker: bfs-start before load-block");
-      proposed_.resize(s.global_n);
+    case Msg::kBfsStart:
+      require_loaded("bfs-start");
+      proposed_.resize(graph_.num_vertices());
       proposed_.clear();
       break;
-    }
     case Msg::kBfsStep:
       handle_bfs_step(r, reply);
       reply_type = Msg::kBfsFrontier;
       break;
-    case Msg::kCcStart: {
-      const auto& s = slots_[kSlotPrimary];
-      GCT_CHECK(s.present, "dist worker: cc-start before load-block");
-      labels_.resize(static_cast<std::size_t>(s.global_n));
-      for (vid v = 0; v < s.global_n; ++v) {
+    case Msg::kCcStart:
+      require_loaded("cc-start");
+      labels_.resize(static_cast<std::size_t>(graph_.num_vertices()));
+      for (vid v = 0; v < graph_.num_vertices(); ++v) {
         labels_[static_cast<std::size_t>(v)] = v;
       }
       break;
-    }
     case Msg::kCcStep:
       handle_cc_step(r, reply);
       reply_type = Msg::kCcDelta;
       break;
-    case Msg::kPrStart: {
-      pr_slot_ = r.u8();
-      GCT_CHECK(pr_slot_ < kNumSlots && slots_[pr_slot_].present,
-                "dist worker: pr-start references an unloaded graph slot");
+    case Msg::kPrStart:
+      require_loaded("pr-start");
       break;
-    }
     case Msg::kPrStep:
       handle_pr_step(r, reply);
       reply_type = Msg::kPrRanks;
       break;
-    case Msg::kBcStart: {
-      const auto& s = slots_[kSlotPrimary];
-      GCT_CHECK(s.present, "dist worker: bc-start before load-block");
-      GCT_CHECK(!s.directed,
-                "dist worker: distributed betweenness is undirected-only");
-      bc_score_.assign(static_cast<std::size_t>(s.end - s.begin), 0.0);
-      bc_dc_.assign(static_cast<std::size_t>(s.global_n),
-                    DistCoef{0.0, kNoVertex});
-      bc_sigma_.assign(static_cast<std::size_t>(s.global_n), 0.0);
-      bc_levels_.clear();
-      bc_source_ = kNoVertex;
+    case Msg::kBcRun:
+      handle_bc_run(r, reply);
+      reply_type = Msg::kBcDelta;
       break;
-    }
-    case Msg::kBcSource:
-      handle_bc_source(r);
-      break;
-    case Msg::kBcForward:
-      handle_bc_forward(r, reply);
-      reply_type = Msg::kBcCandidates;
-      break;
-    case Msg::kBcSigma:
-      handle_bc_sigma(r, reply);
-      reply_type = Msg::kBcSigmaBlock;
-      break;
-    case Msg::kBcBackward:
-      handle_bc_backward(r, reply);
-      reply_type = Msg::kBcCoefBlock;
-      break;
-    case Msg::kBcScores: {
-      const auto& s = slots_[kSlotPrimary];
-      GCT_CHECK(s.present && static_cast<vid>(bc_score_.size()) ==
-                                 s.end - s.begin,
-                "dist worker: bc-scores before bc-start");
-      reply.f64_span(bc_score_);
-      reply_type = Msg::kBcScoreBlock;
-      break;
-    }
     default:
       throw Error(std::string("dist worker: unexpected message ") +
                   msg_name(type));
@@ -228,43 +193,57 @@ void WorkerServer::handle(Msg type, const std::string& payload,
   conn.send(reply_type, reply.take());
 }
 
-void WorkerServer::handle_load(WireReader& r, WireWriter& reply) {
-  const std::uint8_t slot_id = r.u8();
-  GCT_CHECK(slot_id < kNumSlots, "dist worker: bad graph slot");
-  Slot& s = slots_[slot_id];
-  s.directed = r.u8() != 0;
-  s.global_n = r.i64();
-  s.begin = r.i64();
-  s.end = r.i64();
-  GCT_CHECK(s.begin >= 0 && s.begin <= s.end && s.end <= s.global_n,
-            "dist worker: bad block range");
-  r.i64_vec(s.offsets);
-  r.i64_vec(s.adjacency);
-  GCT_CHECK(static_cast<vid>(s.offsets.size()) == s.end - s.begin + 1,
-            "dist worker: offsets length does not match block range");
-  // Rebase to zero so neighbors() indexes the local adjacency slice.
-  const eid base = s.offsets.empty() ? 0 : s.offsets.front();
-  for (auto& o : s.offsets) o -= base;
-  GCT_CHECK(s.offsets.empty() ||
-                s.offsets.back() == static_cast<eid>(s.adjacency.size()),
-            "dist worker: adjacency length does not match offsets");
-  s.present = true;
-  reply.u8(slot_id);
-  reply.i64(static_cast<std::int64_t>(s.adjacency.size()));
+void WorkerServer::require_loaded(const char* what) const {
+  GCT_CHECK(loaded_, std::string("dist worker: ") + what +
+                         " before load-block");
 }
 
-void WorkerServer::expand_owned_rows(const Slot& s,
-                                     std::span<const std::int64_t> owned,
+void WorkerServer::handle_load(WireReader& r, WireWriter& reply) {
+  // Drop the previous graph before decoding the next one.
+  loaded_ = false;
+  bc_.reset();
+  graph_ = CsrGraph();
+  reverse_ = CsrGraph();
+  const bool directed = r.u8() != 0;
+  const bool sorted = r.u8() != 0;
+  const vid self_loops = r.i64();
+  std::vector<std::int64_t> bounds;
+  r.i64_vec(bounds);
+  GCT_CHECK(static_cast<std::int64_t>(bounds.size()) == num_workers_ + 1,
+            "dist worker: block bounds do not match the worker count");
+  std::vector<eid> offsets;
+  r.i64_vec(offsets);
+  std::vector<vid> adjacency;
+  const std::uint8_t width = r.u8();
+  if (width == 4) {
+    r.i32_vec(adjacency);
+  } else {
+    GCT_CHECK(width == 8, "dist worker: bad adjacency width");
+    r.i64_vec(adjacency);
+  }
+  // The constructor validates offsets and every target id.
+  graph_ = CsrGraph(std::move(offsets), std::move(adjacency), directed,
+                    self_loops, sorted);
+  reverse_ = directed ? reverse(graph_) : CsrGraph();
+  begin_ = bounds[static_cast<std::size_t>(index_)];
+  end_ = bounds[static_cast<std::size_t>(index_) + 1];
+  GCT_CHECK(begin_ >= 0 && begin_ <= end_ && end_ <= graph_.num_vertices(),
+            "dist worker: bad block range");
+  loaded_ = true;
+  reply.i64(graph_.num_adjacency_entries());
+}
+
+void WorkerServer::expand_owned_rows(std::span<const std::int64_t> owned,
                                      std::vector<vid>& candidates) {
   candidates.clear();
   const auto count = static_cast<std::int64_t>(owned.size());
   if (opts_.threads <= 1 || count < kSweepSerialBelow) {
     for (const std::int64_t u : owned) {
-      GCT_CHECK(u >= s.begin && u < s.end,
+      GCT_CHECK(u >= begin_ && u < end_,
                 "dist worker: frontier vertex not owned by this block");
       // The frontier vertex itself is visited; never propose it again.
       proposed_.set(static_cast<vid>(u));
-      for (const vid v : s.neighbors(static_cast<vid>(u))) {
+      for (const vid v : graph_.neighbors(static_cast<vid>(u))) {
         if (!proposed_.test(v)) {
           proposed_.set(v);
           candidates.push_back(v);
@@ -286,9 +265,9 @@ void WorkerServer::expand_owned_rows(const Slot& s,
 #pragma omp for schedule(dynamic, 64)
     for (std::int64_t i = 0; i < count; ++i) {
       const auto u = static_cast<vid>(owned[static_cast<std::size_t>(i)]);
-      if (u < s.begin || u >= s.end) continue;  // checked below
+      if (u < begin_ || u >= end_) continue;  // checked below
       proposed_.set_atomic(u);
-      for (const vid v : s.neighbors(u)) {
+      for (const vid v : graph_.neighbors(u)) {
         if (!proposed_.test(v)) {
           proposed_.set_atomic(v);
           mine.push_back(v);
@@ -297,7 +276,7 @@ void WorkerServer::expand_owned_rows(const Slot& s,
     }
   }
   for (const std::int64_t u : owned) {
-    GCT_CHECK(u >= s.begin && u < s.end,
+    GCT_CHECK(u >= begin_ && u < end_,
               "dist worker: frontier vertex not owned by this block");
   }
   for (auto& pt : per_thread) {
@@ -306,18 +285,16 @@ void WorkerServer::expand_owned_rows(const Slot& s,
 }
 
 void WorkerServer::handle_bfs_step(WireReader& r, WireWriter& reply) {
-  const Slot& s = slots_[kSlotPrimary];
-  GCT_CHECK(s.present && proposed_.size() == s.global_n,
+  GCT_CHECK(loaded_ && proposed_.size() == graph_.num_vertices(),
             "dist worker: bfs-step before bfs-start");
   r.i64_vec(scratch_i64_);
   std::vector<vid> candidates;
-  expand_owned_rows(s, scratch_i64_, candidates);
+  expand_owned_rows(scratch_i64_, candidates);
   reply.i64_span(candidates);
 }
 
 void WorkerServer::handle_cc_step(WireReader& r, WireWriter& reply) {
-  const Slot& s = slots_[kSlotPrimary];
-  GCT_CHECK(s.present && !labels_.empty(),
+  GCT_CHECK(loaded_ && !labels_.empty(),
             "dist worker: cc-step before cc-start");
   // Apply the coordinator's merged delta first (monotone min, idempotent).
   r.i64_vec(scratch_i64_);
@@ -337,7 +314,7 @@ void WorkerServer::handle_cc_step(WireReader& r, WireWriter& reply) {
   // fixed point in any order — and every locally lowered vertex is
   // proposed to the coordinator.
   std::vector<vid> changed;
-  if (opts_.threads <= 1 || s.end - s.begin < kSweepSerialBelow) {
+  if (opts_.threads <= 1 || end_ - begin_ < kSweepSerialBelow) {
     auto lower = [&](vid v, vid label) {
       auto& cur = labels_[static_cast<std::size_t>(v)];
       if (label < cur) {
@@ -345,8 +322,8 @@ void WorkerServer::handle_cc_step(WireReader& r, WireWriter& reply) {
         changed.push_back(v);  // may repeat across arcs; deduped below
       }
     };
-    for (vid u = s.begin; u < s.end; ++u) {
-      for (const vid v : s.neighbors(u)) {
+    for (vid u = begin_; u < end_; ++u) {
+      for (const vid v : graph_.neighbors(u)) {
         const vid lu = labels_[static_cast<std::size_t>(u)];
         const vid lv = labels_[static_cast<std::size_t>(v)];
         if (lu < lv) {
@@ -369,8 +346,8 @@ void WorkerServer::handle_cc_step(WireReader& r, WireWriter& reply) {
     {
       auto& mine = per_thread[static_cast<std::size_t>(omp_get_thread_num())];
 #pragma omp for schedule(dynamic, 256)
-      for (vid u = s.begin; u < s.end; ++u) {
-        for (const vid v : s.neighbors(u)) {
+      for (vid u = begin_; u < end_; ++u) {
+        for (const vid v : graph_.neighbors(u)) {
           const vid lu = labels_[static_cast<std::size_t>(u)];
           const vid lv = labels_[static_cast<std::size_t>(v)];
           if (lu < lv) {
@@ -401,202 +378,51 @@ void WorkerServer::handle_cc_step(WireReader& r, WireWriter& reply) {
 }
 
 void WorkerServer::handle_pr_step(WireReader& r, WireWriter& reply) {
-  const Slot& s = slots_[pr_slot_];
-  GCT_CHECK(s.present, "dist worker: pr-step before pr-start");
+  require_loaded("pr-step");
+  // Pull over in-edges: the reverse graph when directed.
+  const CsrGraph& pull = graph_.directed() ? reverse_ : graph_;
   const double base = r.f64();
   const double damping = r.f64();
   r.f64_vec(contrib_);
-  GCT_CHECK(static_cast<vid>(contrib_.size()) == s.global_n,
+  GCT_CHECK(static_cast<vid>(contrib_.size()) == graph_.num_vertices(),
             "dist worker: contrib vector length mismatch");
-  next_.resize(static_cast<std::size_t>(s.end - s.begin));
+  next_.resize(static_cast<std::size_t>(end_ - begin_));
   // Per-vertex accumulation in adjacency order: floating-point addition is
   // order-dependent, and this order is exactly the single-process
   // kernel's, which is what makes per-vertex sums match it bitwise given
   // identical inputs. Rows parallelize freely — each sum is per-vertex
   // exclusive and internally sequential, so the result is bit-identical at
   // any thread count (stealing_for runs inline at threads=1).
-  stealing_for(wq_, s.begin, s.end, kSweepChunk, kSweepSerialBelow,
+  stealing_for(wq_, begin_, end_, kSweepChunk, kSweepSerialBelow,
                opts_.threads, [&](std::int64_t b, std::int64_t e) {
                  for (vid v = b; v < e; ++v) {
                    double acc = 0.0;
-                   for (const vid u : s.neighbors(v)) {
+                   for (const vid u : pull.neighbors(v)) {
                      acc += contrib_[static_cast<std::size_t>(u)];
                    }
-                   next_[static_cast<std::size_t>(v - s.begin)] =
+                   next_[static_cast<std::size_t>(v - begin_)] =
                        base + damping * acc;
                  }
                });
   reply.f64_span(next_);
 }
 
-// ---------------------------------------------------------------------------
-// Distributed betweenness handlers. Protocol per source (docs/DISTRIBUTED.md
-// "Distributed betweenness"):
-//
-//   kBcSource               per-source reset; F_0 = {source}
-//   per level d = 1, 2, ...:
-//     kBcForward {d, sigma(F_{d-1})}   -> kBcCandidates {proposals}
-//     kBcSigma   {d, F_d}              -> kBcSigmaBlock {sigma, owned slice}
-//   per level d = D, ..., 0:
-//     kBcBackward {d, coef(F_{d+1})}   -> kBcCoefBlock  {coef, owned slice}
-//
-// Every sum runs through the canonical 4-lane rows of algs/bc_accum.hpp
-// over each vertex's FULL adjacency row (targets are global ids), with the
-// same predicates as the single-process engine — which is why the scores
-// are bit-identical to fine-mode betweenness_centrality, per worker count
-// and per worker thread count.
-
-void WorkerServer::handle_bc_source(WireReader& r) {
-  const Slot& s = slots_[kSlotPrimary];
-  GCT_CHECK(s.present && !bc_dc_.empty(),
-            "dist worker: bc-source before bc-start");
-  const vid source = r.i64();
-  GCT_CHECK(source >= 0 && source < s.global_n,
-            "dist worker: bc source out of range");
-  // Per-source O(n) distance reset, the mirror of the single-process
-  // engine's per-source distance load. Stale coef halves are harmless:
-  // coef is only ever read one level up, after being rewritten.
-  const vid n = s.global_n;
-  DistCoef* dc = bc_dc_.data();
-#pragma omp parallel for schedule(static) num_threads(opts_.threads) \
-    if (opts_.threads > 1)
-  for (vid v = 0; v < n; ++v) dc[v].dist = kNoVertex;
-  proposed_.resize(n);
-  proposed_.clear();
-  bc_levels_.clear();
-  bc_levels_.push_back({source});
-  bc_source_ = source;
-  dc[source].dist = 0;
-  bc_sigma_[static_cast<std::size_t>(source)] = 1.0;
-  proposed_.set(source);
-}
-
-void WorkerServer::handle_bc_forward(WireReader& r, WireWriter& reply) {
-  const Slot& s = slots_[kSlotPrimary];
-  GCT_CHECK(s.present && bc_source_ != kNoVertex,
-            "dist worker: bc-forward before bc-source");
-  const auto level = static_cast<std::int64_t>(r.u64());
-  r.f64_vec(scratch_f64_);
-  GCT_CHECK(level >= 1 &&
-                level == static_cast<std::int64_t>(bc_levels_.size()),
-            "dist worker: bc-forward level out of sequence");
-  const auto& prev = bc_levels_.back();  // F_{level-1}, sorted
-  GCT_CHECK(scratch_f64_.size() == prev.size(),
-            "dist worker: bc sigma span does not match the frontier");
-  // Scatter sigma of the previous frontier into the mirror: any owned
-  // vertex of the NEXT level may pull across the block boundary.
-  for (std::size_t i = 0; i < prev.size(); ++i) {
-    bc_sigma_[static_cast<std::size_t>(prev[i])] = scratch_f64_[i];
+void WorkerServer::handle_bc_run(WireReader& r, WireWriter& reply) {
+  require_loaded("bc-run");
+  GCT_CHECK(!graph_.directed(),
+            "dist worker: distributed betweenness is undirected-only");
+  const vid source = r.i64();  // range-checked by the engine
+  // No adjacency narrowing: the int32 copy would double the worker's
+  // graph memory and buys no time at the sizes workers hold.
+  if (!bc_) {
+    bc_ = std::make_unique<BcSourceEngine>(graph_, BetweennessOptions{},
+                                           /*narrow_adjacency=*/false);
   }
-  std::vector<vid> candidates;
-  expand_owned_rows(s, owned_slice(prev, s.begin, s.end), candidates);
-  reply.i64_span(candidates);
-}
-
-void WorkerServer::handle_bc_sigma(WireReader& r, WireWriter& reply) {
-  const Slot& s = slots_[kSlotPrimary];
-  GCT_CHECK(s.present && bc_source_ != kNoVertex,
-            "dist worker: bc-sigma before bc-source");
-  const auto level = static_cast<std::int64_t>(r.u64());
-  r.i64_vec(scratch_i64_);
-  GCT_CHECK(level == static_cast<std::int64_t>(bc_levels_.size()),
-            "dist worker: bc-sigma level out of sequence");
-  bc_levels_.emplace_back(scratch_i64_.begin(), scratch_i64_.end());
-  const auto& f = bc_levels_.back();
-  // Mark the confirmed frontier proposed everywhere (so no worker proposes
-  // it again next level) and scatter its depth into the mirror.
-  DistCoef* dc = bc_dc_.data();
-  for (const vid v : f) {
-    proposed_.set(v);
-    dc[v].dist = level;
-  }
-  // Pull sigma for the owned slice: each vertex sums sigma over its FULL
-  // row's depth-minus-one neighbors — the same 4-lane row and predicate as
-  // pull_sigma_level / expand_bottom_up_sigma, hence bitwise-equal sums.
-  const auto slice = owned_slice(f, s.begin, s.end);
-  const auto count = static_cast<std::int64_t>(slice.size());
-  bc_out_.resize(slice.size());
-  const double* sg = bc_sigma_.data();
-  const std::int64_t prev_level = level - 1;
-  stealing_for(wq_, 0, count, kSweepChunk, kSweepSerialBelow, opts_.threads,
-               [&](std::int64_t b, std::int64_t e) {
-                 for (std::int64_t i = b; i < e; ++i) {
-                   const auto v =
-                       static_cast<vid>(slice[static_cast<std::size_t>(i)]);
-                   const auto nbrs = s.neighbors(v);
-                   const double sv = bc_pull_sigma_row(
-                       nbrs.data(), static_cast<std::int64_t>(nbrs.size()),
-                       sg, [dc, prev_level](vid u) {
-                         return dc[u].dist == prev_level;
-                       });
-                   bc_out_[static_cast<std::size_t>(i)] = sv;
-                   bc_sigma_[static_cast<std::size_t>(v)] = sv;
-                 }
-               });
-  reply.f64_span(bc_out_);
-}
-
-void WorkerServer::handle_bc_backward(WireReader& r, WireWriter& reply) {
-  const Slot& s = slots_[kSlotPrimary];
-  GCT_CHECK(s.present && bc_source_ != kNoVertex,
-            "dist worker: bc-backward before bc-source");
-  const auto d = static_cast<std::int64_t>(r.u64());
-  r.f64_vec(scratch_f64_);
-  const auto num_levels = static_cast<std::int64_t>(bc_levels_.size());
-  GCT_CHECK(d >= 0 && d < num_levels,
-            "dist worker: bc-backward level out of range");
-  const bool deepest = d + 1 == num_levels;
-  DistCoef* dc = bc_dc_.data();
-  if (deepest) {
-    GCT_CHECK(scratch_f64_.empty(),
-              "dist worker: deepest bc-backward carries no coefficients");
-  } else {
-    const auto& below = bc_levels_[static_cast<std::size_t>(d + 1)];
-    GCT_CHECK(scratch_f64_.size() == below.size(),
-              "dist worker: bc coef span does not match the level");
-    // Scatter the deeper level's coefficients into the mirror; the owned
-    // sweep below reads them across block boundaries.
-    for (std::size_t i = 0; i < below.size(); ++i) {
-      dc[below[i]].coef = scratch_f64_[i];
-    }
-  }
-  const auto& f = bc_levels_[static_cast<std::size_t>(d)];
-  const auto slice = owned_slice(f, s.begin, s.end);
-  const auto count = static_cast<std::int64_t>(slice.size());
-  bc_out_.resize(slice.size());
-  const double* sg = bc_sigma_.data();
-  const vid source = bc_source_;
-  const std::int64_t deeper = d + 1;
-  stealing_for(
-      wq_, 0, count, kSweepChunk, kSweepSerialBelow, opts_.threads,
-      [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t i = b; i < e; ++i) {
-          const auto v = static_cast<vid>(slice[static_cast<std::size_t>(i)]);
-          double coef;
-          if (deepest) {
-            // No deeper neighbors: the dependency sum is exactly zero, so
-            // the scan collapses to coef = 1/sigma (no score contribution)
-            // — the same closed form as the single-process deepest level.
-            coef = 1.0 / sg[static_cast<std::size_t>(v)];
-          } else {
-            const auto nbrs = s.neighbors(v);
-            const double acc = bc_pull_coef_row(
-                nbrs.data(), static_cast<std::int64_t>(nbrs.size()), dc,
-                deeper);
-            const double sv = sg[static_cast<std::size_t>(v)];
-            const double dv = sv * acc;
-            coef = (1.0 + dv) / sv;
-            // Accumulated across sources in coordinator order — the same
-            // per-vertex add order as fine mode's serial source loop.
-            if (v != source) {
-              bc_score_[static_cast<std::size_t>(v - s.begin)] += dv;
-            }
-          }
-          dc[v].coef = coef;
-          bc_out_[static_cast<std::size_t>(i)] = coef;
-        }
-      });
-  reply.f64_span(bc_out_);
+  // delta_s = 0 + dv exactly, so the coordinator's score[v] += delta_s[v]
+  // in source order repeats fine mode's adds bit for bit.
+  delta_.assign(static_cast<std::size_t>(graph_.num_vertices()), 0.0);
+  bc_->accumulate(source, delta_);
+  reply.f64_span(delta_);
 }
 
 }  // namespace graphct::dist

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file worker.hpp
-/// The dist substrate's worker: owns one vertex block per graph slot and
-/// serves step RPCs to a single coordinator.
+/// The dist substrate's worker: holds a full copy of the loaded graph and
+/// serves kernel RPCs to a single coordinator.
 ///
 /// A WorkerServer binds a loopback listen socket at construction (port 0 =
 /// ephemeral, the default — the chosen port is readable immediately via
@@ -10,16 +10,25 @@
 /// serve() accepts exactly one coordinator connection and answers frames
 /// until kShutdown, peer EOF, or an injected failure.
 ///
-/// Block-local sweeps run through the same bitmap/work-queue engines as
-/// the single-process kernels, parallelized across
-/// `WorkerOptions::threads` OpenMP threads (default 1 = the exact serial
-/// paths; the knob is surfaced as CLI `worker --threads` and script
-/// `workers <n> ... threads=<k>`). Every floating-point sum a worker
-/// produces is per-vertex exclusive and runs in adjacency order through
-/// the canonical 4-lane rows (algs/bc_accum.hpp), so results are
-/// bit-identical at any thread count. Kernel state (proposal bitmap,
-/// component labels, betweenness mirrors) lives across steps of one kernel
-/// and is reset by the corresponding kStart message.
+/// Every worker receives the whole graph (one shared kLoadBlock frame) and
+/// keeps its own contiguous vertex block, named by the index the
+/// coordinator sent at hello:
+///
+///   * BFS, components and PageRank are vertex-partitioned: each step
+///     sweeps the owned rows only, through the same bitmap/work-queue
+///     engines as the single-process kernels.
+///   * Betweenness is source-partitioned: each kBcRun runs one source
+///     through the single-process engine (core/betweenness.hpp
+///     BcSourceEngine) over the full graph and replies with that source's
+///     dependency vector. No per-level state crosses the wire.
+///
+/// Sweeps run on `WorkerOptions::threads` OpenMP threads (default 1 = the
+/// exact serial paths; surfaced as CLI `worker --threads` and script
+/// `workers <n> ... threads=<k>`). serve() pins the thread's OpenMP team
+/// size to that count, so core code sized by omp_get_max_threads() never
+/// inherits a parent process's team. Every floating-point sum a worker
+/// produces is per-vertex exclusive and runs in adjacency order, so results
+/// are bit-identical at any thread count.
 ///
 /// Failure semantics: a handler exception is reported to the coordinator
 /// as a kError frame (the reply slot for that request) and the worker
@@ -30,9 +39,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "algs/bc_accum.hpp"
+#include "core/betweenness.hpp"
 #include "dist/wire.hpp"
 #include "graph/csr_graph.hpp"
 #include "util/bitmap.hpp"
@@ -43,7 +53,7 @@ namespace graphct::dist {
 struct WorkerOptions {
   int port = 0;  ///< listen port; 0 = kernel-assigned ephemeral port
 
-  /// OpenMP threads for block-local sweeps (1 = serial, the default so a
+  /// OpenMP threads for local sweeps (1 = serial, the default so a
   /// one-core host is never oversubscribed by a multi-worker set).
   int threads = 1;
 
@@ -79,71 +89,52 @@ class WorkerServer {
   void release();
 
  private:
-  /// One resident graph block: rebased offsets over the owned range plus
-  /// the adjacency slice, targets in global ids.
-  struct Slot {
-    bool present = false;
-    bool directed = false;
-    vid global_n = 0;
-    vid begin = 0;
-    vid end = 0;
-    std::vector<eid> offsets;    ///< size end-begin+1, offsets[0] == 0
-    std::vector<vid> adjacency;  ///< global target ids
-
-    [[nodiscard]] std::span<const vid> neighbors(vid global_v) const {
-      const auto local = static_cast<std::size_t>(global_v - begin);
-      const eid lo = offsets[local];
-      const eid hi = offsets[local + 1];
-      return {adjacency.data() + lo, static_cast<std::size_t>(hi - lo)};
-    }
-  };
-
   void handle(Msg type, const std::string& payload, FrameConn& conn);
   void handle_load(WireReader& r, WireWriter& reply);
   void handle_bfs_step(WireReader& r, WireWriter& reply);
   void handle_cc_step(WireReader& r, WireWriter& reply);
   void handle_pr_step(WireReader& r, WireWriter& reply);
-  void handle_bc_source(WireReader& r);
-  void handle_bc_forward(WireReader& r, WireWriter& reply);
-  void handle_bc_sigma(WireReader& r, WireWriter& reply);
-  void handle_bc_backward(WireReader& r, WireWriter& reply);
+  void handle_bc_run(WireReader& r, WireWriter& reply);
+  void require_loaded(const char* what) const;
 
   /// Expand owned frontier rows, proposing every not-yet-proposed
-  /// neighbor. Shared by BFS and the betweenness forward sweep: serial at
-  /// threads=1 (deterministic candidate order), per-thread candidate lists
-  /// above that (the coordinator dedups and sorts either way).
-  void expand_owned_rows(const Slot& s, std::span<const std::int64_t> owned,
+  /// neighbor: serial at threads=1 (deterministic candidate order),
+  /// per-thread candidate lists above that (the coordinator dedups and
+  /// sorts either way).
+  void expand_owned_rows(std::span<const std::int64_t> owned,
                          std::vector<vid>& candidates);
 
   WorkerOptions opts_;
   std::atomic<int> listen_fd_{-1};
   int port_ = 0;
 
-  Slot slots_[kNumSlots];
+  // Position in the coordinator's worker list (from kHello).
+  std::int64_t index_ = 0;
+  std::int64_t num_workers_ = 1;
 
-  // BFS / BC forward: vertices already proposed during this search (never
-  // worth re-proposing — once proposed at level d they are visited by
-  // d+1). A bitmap so multi-threaded expansion can mark with set_atomic.
+  // The resident graph, its reverse (directed graphs only: PageRank pulls
+  // over in-edges), and the owned block [begin_, end_).
+  bool loaded_ = false;
+  CsrGraph graph_;
+  CsrGraph reverse_;
+  vid begin_ = 0;
+  vid end_ = 0;
+
+  // BFS: vertices already proposed during this search (never worth
+  // re-proposing — once proposed at level d they are visited by d+1). A
+  // bitmap so multi-threaded expansion can mark with set_atomic.
   Bitmap proposed_;
   // Components: mirrored full label array.
   std::vector<vid> labels_;
-  // PageRank: which slot to pull in-edges from, plus scratch buffers.
-  std::uint8_t pr_slot_ = kSlotPrimary;
+  // PageRank scratch buffers.
   std::vector<double> contrib_;
   std::vector<double> next_;
   std::vector<std::int64_t> scratch_i64_;
-  std::vector<double> scratch_f64_;
-
-  // Betweenness state. Mirrors span the global id space (targets are
-  // global); the score block covers only the owned range and accumulates
-  // across every source of one kBcStart..kBcScores run.
-  vid bc_source_ = kNoVertex;
-  std::vector<DistCoef> bc_dc_;    ///< per-vertex {coef, dist} mirror
-  std::vector<double> bc_sigma_;   ///< sigma mirror
-  std::vector<std::vector<vid>> bc_levels_;  ///< full frontier per level
-  std::vector<double> bc_score_;   ///< owned block, local index
-  std::vector<double> bc_out_;     ///< per-step reply values
-  WorkQueue wq_;                   ///< level scheduler for local sweeps
+  WorkQueue wq_;  ///< row scheduler for PageRank
+  // Betweenness: the per-source engine over graph_ (built on the first
+  // kBcRun after a load) and the reply's dependency vector.
+  std::unique_ptr<BcSourceEngine> bc_;
+  std::vector<double> delta_;
 };
 
 }  // namespace graphct::dist

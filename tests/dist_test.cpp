@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/local_worker_set.hpp"
 #include "dist/partition.hpp"
+#include "dist/wire.hpp"
 #include "gen/rmat.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
@@ -275,6 +277,35 @@ TEST(DistParityTest, StatsCountTrafficAndSteps) {
   });
 }
 
+// -------------------------------------------------------------------- wire
+
+TEST(WireTest, Int32ArraysRoundTripThroughI64) {
+  const std::vector<std::int64_t> values{
+      0, 1, -1, 42, std::numeric_limits<std::int32_t>::max(),
+      std::numeric_limits<std::int32_t>::min()};
+  WireWriter w;
+  w.i32_span(values);
+  w.u8(7);
+  const std::string payload = w.take();
+  EXPECT_EQ(payload.size(), 8 + 4 * values.size() + 1);
+  WireReader r(payload);
+  std::vector<std::int64_t> back;
+  r.i32_vec(back);
+  EXPECT_EQ(back, values);
+  EXPECT_EQ(r.u8(), 7);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(WireTest, TruncatedInt32ArrayThrows) {
+  WireWriter w;
+  w.i32_span(std::vector<std::int64_t>{1, 2, 3});
+  const std::string payload = w.take();
+  const std::string cut = payload.substr(0, payload.size() - 1);
+  WireReader r(cut);
+  std::vector<std::int64_t> back;
+  EXPECT_THROW(r.i32_vec(back), Error);
+}
+
 // ------------------------------------------------------------- betweenness
 
 /// Single-process fine-mode reference over the same source list the dist
@@ -290,10 +321,9 @@ std::vector<double> reference_bc(const CsrGraph& g,
 }
 
 void expect_bc_bit_parity(const CsrGraph& g, int workers, bool fork_mode,
-                          int worker_threads,
-                          std::int64_t batch_sources = 0) {
+                          int worker_threads, std::int64_t num_sources = 24) {
   BetweennessOptions opts;
-  opts.num_sources = 24;
+  opts.num_sources = num_sources;
   opts.seed = 5;
   std::vector<vid> sources;
   const std::vector<double> expect = reference_bc(g, opts, &sources);
@@ -305,11 +335,11 @@ void expect_bc_bit_parity(const CsrGraph& g, int workers, bool fork_mode,
   Coordinator coord;
   coord.connect(set.ports());
   coord.load_graph(g);
-  const std::vector<double> got = coord.betweenness(sources, batch_sources);
+  const std::vector<double> got = coord.betweenness(sources);
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    // Bitwise, not approximate: the dist engine replays the fine-mode
-    // engine's exact add order through the shared 4-lane rows.
+    // Bitwise, not approximate: workers run fine mode's per-source engine
+    // and the coordinator adds the vectors in fine mode's source order.
     ASSERT_EQ(got[i], expect[i])
         << "bc score diverged at vertex " << i << " (workers=" << workers
         << " fork=" << fork_mode << " threads=" << worker_threads << ")";
@@ -337,28 +367,39 @@ TEST(DistBcTest, BitIdenticalWithMultithreadedWorkers) {
   expect_bc_bit_parity(g, 2, /*fork_mode=*/true, /*worker_threads=*/2);
 }
 
-TEST(DistBcTest, SourceBatchingGathersTheSameScores) {
+TEST(DistBcTest, FewerSourcesThanWorkers) {
+  // Two sources across four workers: two workers get no request at all,
+  // and the scores still match fine mode bit for bit.
   const CsrGraph g = test_rmat(9, false);
-  // Gather after every 5 sources: workers keep accumulating across
-  // batches, so the final gather must still hold the full sum.
-  expect_bc_bit_parity(g, 3, /*fork_mode=*/false, /*worker_threads=*/1,
-                       /*batch_sources=*/5);
+  expect_bc_bit_parity(g, 4, /*fork_mode=*/false, /*worker_threads=*/1,
+                       /*num_sources=*/2);
 }
 
 TEST(DistBcTest, LockstepExchangeMatchesOverlapped) {
+  // Overlapped pipelines several source requests per worker; lockstep
+  // keeps one in flight. Replies arrive at different times relative to
+  // each other, and the scores must not care.
   const CsrGraph g = test_rmat(9, false);
   BetweennessOptions opts;
-  opts.num_sources = 12;
+  opts.num_sources = 40;
   std::vector<vid> sources;
   const std::vector<double> expect = reference_bc(g, opts, &sources);
   with_coordinator(g, 3, [&](Coordinator& c) {
     ASSERT_TRUE(c.overlap());
     const auto overlapped = c.betweenness(sources);
+    const DistStats pipelined = c.last_kernel_stats();
     c.set_overlap(false);
     const auto lockstep = c.betweenness(sources);
+    const DistStats& one_at_a_time = c.last_kernel_stats();
     c.set_overlap(true);
     EXPECT_EQ(overlapped, expect);
     EXPECT_EQ(lockstep, expect);
+    // Same protocol either way: one request and one reply per source.
+    EXPECT_EQ(pipelined.steps, 40);
+    EXPECT_EQ(pipelined.messages_sent, 40);
+    EXPECT_EQ(pipelined.messages_received, 40);
+    EXPECT_EQ(one_at_a_time.messages_sent, 40);
+    EXPECT_EQ(one_at_a_time.bytes_received, pipelined.bytes_received);
   });
 }
 
@@ -387,6 +428,16 @@ TEST(DistBcTest, RejectsDirectedGraphsAndBadSources) {
   with_coordinator(u, 2, [&](Coordinator& c) {
     EXPECT_THROW(c.betweenness(std::vector<vid>{}), Error);
     EXPECT_THROW(c.betweenness(std::vector<vid>{u.num_vertices()}), Error);
+    EXPECT_THROW(c.betweenness(std::vector<vid>{0, -1}), Error);
+    // Rejected before any request goes out: the substrate stays healthy.
+    EXPECT_FALSE(c.degraded());
+    BetweennessOptions fine;
+    fine.parallelism = BcParallelism::kFine;
+    fine.num_sources = 2;
+    fine.seed = 3;
+    const auto sources = choose_sources(GraphView(u), fine);
+    EXPECT_EQ(c.betweenness(sources),
+              betweenness_centrality(GraphView(u), fine).score);
   });
 }
 
@@ -428,15 +479,17 @@ TEST(DistFailureTest, DeadWorkerCancelsKernelWithExplicitError) {
   coord.shutdown();  // must not throw or hang on a degraded substrate
 }
 
-TEST(DistFailureTest, DeadWorkerMidForwardSweepCancelsExactlyThatJob) {
-  const CsrGraph g = test_rmat(9, false);
-  const std::vector<vid> sources{0, 3, 5};
+/// Run `sources` on 3 workers whose worker `fail_worker` dies after
+/// `fail_after` received messages, and check the whole failure contract:
+/// an explicit error naming the worker and the bc job, a degraded
+/// coordinator that fails fast, and an intact single-process path.
+void expect_bc_worker_death(const CsrGraph& g,
+                            const std::vector<vid>& sources, int fail_worker,
+                            std::int64_t fail_after) {
   LocalWorkerSetOptions wopts;
   wopts.num_workers = 3;
-  wopts.fail_worker = 1;
-  // Per-worker receive order: hello, load, kBcStart, kBcSource, then the
-  // first kBcForward — dying on message 5 is mid-forward-sweep.
-  wopts.fail_after = 5;
+  wopts.fail_worker = fail_worker;
+  wopts.fail_after = fail_after;
   LocalWorkerSet workers(wopts);
   Coordinator coord;
   coord.connect(workers.ports());
@@ -446,89 +499,77 @@ TEST(DistFailureTest, DeadWorkerMidForwardSweepCancelsExactlyThatJob) {
     FAIL() << "expected the bc job to be cancelled by the dead worker";
   } catch (const Error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("worker 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("worker " + std::to_string(fail_worker)),
+              std::string::npos)
+        << what;
     EXPECT_NE(what.find("bc"), std::string::npos) << what;
     EXPECT_NE(what.find("job cancelled"), std::string::npos) << what;
   }
   EXPECT_TRUE(coord.degraded());
-  EXPECT_THROW(coord.betweenness(sources), Error);  // fast-fail, no wedge
+  try {
+    coord.betweenness(sources);
+    FAIL() << "expected degraded coordinator to fail fast";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("degraded"), std::string::npos);
+  }
   // Single-process betweenness on the same graph is untouched.
   BetweennessOptions fine;
   fine.parallelism = BcParallelism::kFine;
   fine.num_sources = 3;
   EXPECT_EQ(betweenness_centrality(GraphView(g), fine).score.size(),
             static_cast<std::size_t>(g.num_vertices()));
-  coord.shutdown();
+  coord.shutdown();  // must not throw or hang on a degraded substrate
 }
 
-TEST(DistFailureTest, DeadWorkerMidBackwardSweepCancelsExactlyThatJob) {
-  const CsrGraph g = test_rmat(9, false);
-  const std::vector<vid> sources{0, 3, 5};
-  // Derive the injection point from a healthy run: every kernel message is
-  // one frame per worker, so per-worker kernel traffic is uniform. The
-  // final two frames a worker receives are the last source's deepest-to-
-  // shallowest kBcBackward(d=0) and then kBcScores — dying one frame
-  // before the end lands mid-backward-sweep.
-  std::int64_t per_worker = 0;
-  {
-    LocalWorkerSetOptions hopts;
-    hopts.num_workers = 3;
-    LocalWorkerSet healthy(hopts);
-    Coordinator coord;
-    coord.connect(healthy.ports());
-    coord.load_graph(g);
-    coord.betweenness(sources);
-    ASSERT_EQ(coord.last_kernel_stats().messages_sent % 3, 0);
-    per_worker = coord.last_kernel_stats().messages_sent / 3;
-    coord.shutdown();
+TEST(DistFailureTest, DeadWorkerOnBcRequestCancelsExactlyThatJob) {
+  // Per-worker receive order: hello, load, then one kBcRun per source.
+  // fail_after = 2: worker 1 dies on its first bc request.
+  expect_bc_worker_death(test_rmat(9, false), {0, 3, 5}, /*fail_worker=*/1,
+                         /*fail_after=*/2);
+}
+
+TEST(DistFailureTest, DeadWorkerAfterDeltaRepliesCancelsExactlyThatJob) {
+  // Nine sources on three workers: worker 2 runs sources 2, 5 and 8. With
+  // fail_after = 2 + k it sends k dependency vectors, then dies on its
+  // next request — after the coordinator has added part of the scores.
+  const std::vector<vid> sources{0, 3, 5, 7, 11, 13, 17, 19, 23};
+  for (const std::int64_t k : {1, 2}) {
+    expect_bc_worker_death(test_rmat(9, false), sources, /*fail_worker=*/2,
+                           /*fail_after=*/2 + k);
   }
-  LocalWorkerSetOptions wopts;
-  wopts.num_workers = 3;
-  wopts.fail_worker = 2;
-  wopts.fail_after = 2 + per_worker - 1;  // hello + load + all but kBcScores
-  LocalWorkerSet workers(wopts);
-  Coordinator coord;
-  coord.connect(workers.ports());
-  coord.load_graph(g);
-  try {
-    coord.betweenness(sources);
-    FAIL() << "expected the bc job to be cancelled by the dead worker";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("worker 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("job cancelled"), std::string::npos) << what;
-  }
-  EXPECT_TRUE(coord.degraded());
-  EXPECT_THROW(coord.betweenness(sources), Error);
-  coord.shutdown();
 }
 
 TEST(DistFailureTest, DegradedBcRunNeverPoisonsCachedResults) {
-  Toolkit tk(test_rmat(9, false));
-  BetweennessOptions opts;
-  opts.num_sources = 8;
-  opts.parallelism = BcParallelism::kFine;
-  const std::vector<double> expect = tk.betweenness(opts).score;
+  // Worker 0 runs 4 of the 8 sources. fail_after = 2: it dies on its first
+  // bc request; fail_after = 5: after three dependency vectors.
+  for (const std::int64_t fail_after : {2, 5}) {
+    Toolkit tk(test_rmat(9, false));
+    BetweennessOptions opts;
+    opts.num_sources = 8;
+    opts.parallelism = BcParallelism::kFine;
+    const std::vector<double> expect = tk.betweenness(opts).score;
 
-  LocalWorkerSetOptions wopts;
-  wopts.num_workers = 2;
-  wopts.fail_worker = 0;
-  wopts.fail_after = 5;  // dies mid-forward-sweep
-  LocalWorkerSet failing(wopts);
-  Coordinator coord;
-  coord.connect(failing.ports());
-  EXPECT_THROW(tk.betweenness_dist(coord, opts), Error);
+    LocalWorkerSetOptions wopts;
+    wopts.num_workers = 2;
+    wopts.fail_worker = 0;
+    wopts.fail_after = fail_after;
+    LocalWorkerSet failing(wopts);
+    Coordinator coord;
+    coord.connect(failing.ports());
+    EXPECT_THROW(tk.betweenness_dist(coord, opts), Error);
 
-  // The single-process cache entry is intact, and a fresh healthy worker
-  // set computes the dist entry cleanly — bit-identical to fine mode.
-  EXPECT_EQ(tk.betweenness(opts).score, expect);
-  LocalWorkerSetOptions hopts;
-  hopts.num_workers = 2;
-  LocalWorkerSet healthy(hopts);
-  Coordinator coord2;
-  coord2.connect(healthy.ports());
-  EXPECT_EQ(tk.betweenness_dist(coord2, opts).score, expect);
-  coord2.shutdown();
+    // The single-process cache entry is intact, and a fresh healthy worker
+    // set computes the dist entry cleanly — bit-identical to fine mode.
+    EXPECT_EQ(tk.betweenness(opts).score, expect);
+    LocalWorkerSetOptions hopts;
+    hopts.num_workers = 2;
+    LocalWorkerSet healthy(hopts);
+    Coordinator coord2;
+    coord2.connect(healthy.ports());
+    EXPECT_EQ(tk.betweenness_dist(coord2, opts).score, expect)
+        << "fail_after=" << fail_after;
+    coord2.shutdown();
+  }
 }
 
 TEST(DistFailureTest, ConnectToDeadPortFailsExplicitly) {
