@@ -14,9 +14,17 @@
 /// assignment depends only on the neighbor index, so for a fixed adjacency
 /// row the sum is bitwise identical across thread counts, fine/coarse/auto
 /// modes, both forward engines, and the single-process vs distributed
-/// paths (dist_test and bench/dist_profile pin the last one). Change the
-/// lane count, the combine order, or the prefetch distance here and every
-/// parity gate in CI moves together — which is the point of sharing it.
+/// paths (dist_test and bench/dist_profile pin the last one).
+///
+/// Row order, not vertex ids, fixes the bits: the ids inside a row only
+/// select which values are summed. Betweenness runs its sweeps over a
+/// BFS-relabeled copy of the graph (core/betweenness.cpp, BcGraph) whose
+/// rows keep their neighbor order, and gets the same bits as a sweep over
+/// the caller's ids; reordering a row would not.
+///
+/// Change the lane count, the combine order, or the prefetch distance here
+/// and every parity gate in CI moves together — which is the point of
+/// sharing it.
 ///
 /// Predicates take the neighbor id and return bool; values are looked up
 /// by the same id. The prefetch functor is given ids ~16 neighbors ahead

@@ -179,11 +179,32 @@ constexpr std::int64_t kLevelSerialBelow = 512;
 constexpr std::int64_t kWordChunk = 16;
 constexpr std::int64_t kWordSerialBelow = 256;
 
+// Sum of degrees over order[lo,hi) — the next level's frontier edge count.
+// Small levels sum inline: opening a team per level, down to 1-vertex
+// tails, costs more than the sum (same cutoff as the level helpers).
+template <typename Rows>
+eid frontier_degree_sum(const Rows& g, const std::vector<vid>& order, eid lo,
+                        eid hi, int nthreads) {
+  std::int64_t fe = 0;
+  if (nthreads <= 1 || omp_in_parallel() || hi - lo < kLevelSerialBelow) {
+    for (eid i = lo; i < hi; ++i) {
+      fe += g.degree(order[static_cast<std::size_t>(i)]);
+    }
+    return fe;
+  }
+#pragma omp parallel for reduction(+ : fe) schedule(static)
+  for (eid i = lo; i < hi; ++i) {
+    fe += g.degree(order[static_cast<std::size_t>(i)]);
+  }
+  return fe;
+}
+
 // Top-down discovery for the sigma sweep. Parallel chunks claim distances by
 // CAS and mark `next` with atomic ORs; a single thread (or a tiny level)
 // takes the plain-write path — same discoveries, no lock-prefixed
 // instructions on the t=1 hot path.
-void expand_top_down_sigma(const GraphView& g, std::vector<vid>& distance,
+template <typename Rows>
+void expand_top_down_sigma(const Rows& g, std::vector<vid>& distance,
                            const std::vector<vid>& order, eid lo, eid hi,
                            vid depth, Bitmap& next, WorkQueue& wq,
                            int nthreads) {
@@ -221,7 +242,8 @@ void expand_top_down_sigma(const GraphView& g, std::vector<vid>& distance,
 // Writes are per-vertex exclusive and reads are one level back, so there are
 // no atomics and the sums — being fixed-order — are bit-identical for any
 // thread count.
-void pull_sigma_level(const GraphView& g, const std::vector<vid>& distance,
+template <typename Rows>
+void pull_sigma_level(const Rows& g, const std::vector<vid>& distance,
                       const std::vector<vid>& order, eid lo, eid hi, vid depth,
                       std::vector<double>& sigma, WorkQueue& wq,
                       int nthreads) {
@@ -259,7 +281,8 @@ void pull_sigma_level(const GraphView& g, const std::vector<vid>& distance,
 // write are owner-exclusive: no atomics at all. The frontier test and the
 // pull both read sigma of frontier members only, which no thread writes this
 // level. Summation order is adjacency order, identical to the top-down pull.
-void expand_bottom_up_sigma(const GraphView& g, std::vector<vid>& distance,
+template <typename Rows>
+void expand_bottom_up_sigma(const Rows& g, std::vector<vid>& distance,
                             vid depth, const Bitmap& frontier, Bitmap& visited,
                             Bitmap& next, std::vector<double>& sigma,
                             WorkQueue& wq, int nthreads) {
@@ -447,12 +470,7 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
     // Refresh the frontier edge count only when the heuristic or the work
     // counters will read it again — the final (empty) level skips the sweep.
     if ((dir_opt || profiling) && hi > lo) {
-      std::int64_t fe = 0;
-#pragma omp parallel for reduction(+ : fe) schedule(static)
-      for (eid i = lo; i < hi; ++i) {
-        fe += g.degree(r.order[static_cast<std::size_t>(i)]);
-      }
-      frontier_edges = fe;
+      frontier_edges = frontier_degree_sum(g, r.order, lo, hi, num_threads());
     }
   }
 
@@ -461,9 +479,11 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
   // compaction, which yields ascending vertex ids for any thread count.
 }
 
-void bc_forward_sweep(const GraphView& g, vid source,
-                      const BcSweepOptions& opts, BfsResult& r,
-                      std::vector<double>& sigma) {
+namespace {
+
+template <typename Rows>
+void forward_sweep_impl(const Rows& g, vid source, const BcSweepOptions& opts,
+                        BfsResult& r, std::vector<double>& sigma) {
   const vid n = g.num_vertices();
   GCT_CHECK(source >= 0 && source < n, "bc_forward_sweep: source out of range");
   GCT_CHECK(!(opts.hybrid && g.directed()),
@@ -551,16 +571,25 @@ void bc_forward_sweep(const GraphView& g, vid source,
     if (hi > lo) r.level_offsets.push_back(hi);
 
     if ((opts.hybrid || profiling) && hi > lo) {
-      std::int64_t fe = 0;
-#pragma omp parallel for reduction(+ : fe) schedule(static)
-      for (eid i = lo; i < hi; ++i) {
-        fe += g.degree(r.order[static_cast<std::size_t>(i)]);
-      }
-      frontier_edges = fe;
+      frontier_edges = frontier_degree_sum(g, r.order, lo, hi, nthreads);
     }
   }
 
   r.order.resize(static_cast<std::size_t>(hi));
+}
+
+}  // namespace
+
+void bc_forward_sweep(const GraphView& g, vid source,
+                      const BcSweepOptions& opts, BfsResult& r,
+                      std::vector<double>& sigma) {
+  forward_sweep_impl(g, source, opts, r, sigma);
+}
+
+void bc_forward_sweep(const Int32Rows& g, vid source,
+                      const BcSweepOptions& opts, BfsResult& r,
+                      std::vector<double>& sigma) {
+  forward_sweep_impl(g, source, opts, r, sigma);
 }
 
 Subgraph ego_network(const CsrGraph& g, vid center, vid radius) {

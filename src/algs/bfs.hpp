@@ -24,6 +24,7 @@
 ///    reproduction, undirected graphs only.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -134,6 +135,27 @@ struct BcSweepOptions {
   double beta = 24.0;
 };
 
+/// Read-only undirected CSR rows over int32 neighbor ids: the row source of
+/// betweenness's locality-ordered BC graph (core/betweenness.cpp), which
+/// owns the arrays. Offers the slice of GraphView's interface the Brandes
+/// sweeps read.
+struct Int32Rows {
+  const eid* offsets = nullptr;     ///< n + 1 entries
+  const std::int32_t* adj = nullptr;
+  vid n = 0;
+
+  [[nodiscard]] vid num_vertices() const { return n; }
+  [[nodiscard]] eid num_adjacency_entries() const { return offsets[n]; }
+  [[nodiscard]] bool directed() const { return false; }
+  [[nodiscard]] vid degree(vid v) const {
+    return static_cast<vid>(offsets[v + 1] - offsets[v]);
+  }
+  [[nodiscard]] std::span<const std::int32_t> neighbors(vid v) const {
+    return {adj + offsets[v],
+            static_cast<std::size_t>(offsets[v + 1] - offsets[v])};
+  }
+};
+
 /// Brandes forward sweep: BFS levels and shortest-path counts (sigma) in a
 /// single direction-optimizing pass. This is the front half of betweenness's
 /// accumulate_source, fused so the adjacency is streamed once per level
@@ -156,7 +178,15 @@ struct BcSweepOptions {
 /// `sigma` must have room for n entries; only entries of reached vertices
 /// are written (each exactly once — no pre-clearing needed). `r.parent` is
 /// left empty (Brandes recovers predecessors from distances).
+///
+/// Each per-vertex sum depends only on that vertex's row, in row order, so
+/// running the sweep over a relabeled copy whose rows keep their order (the
+/// Int32Rows overload) gives every vertex the same sigma bits under its new
+/// id.
 void bc_forward_sweep(const GraphView& g, vid source,
+                      const BcSweepOptions& opts, BfsResult& r,
+                      std::vector<double>& sigma);
+void bc_forward_sweep(const Int32Rows& g, vid source,
                       const BcSweepOptions& opts, BfsResult& r,
                       std::vector<double>& sigma);
 

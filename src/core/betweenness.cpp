@@ -90,45 +90,113 @@ void forward_push_directed(const GraphView& g, vid s, BfsResult& b,
   }
 }
 
-/// Narrowed adjacency shared by every source of one betweenness run: vid is
-/// 8 bytes, but the backward sweep streams the whole adjacency array once
-/// per source, so on graphs whose ids fit 32 bits a one-time narrowed copy
-/// halves the dominant stream (and halves the cache pollution that evicts
-/// the per-vertex state between random accesses). Built once per
-/// betweenness call, read-only afterwards; empty when ids would not fit or
-/// the copy would not be worth the memory (see betweenness_impl).
-struct NarrowAdjacency {
+/// Locality-ordered BC graph shared by every source of one betweenness
+/// run: an int32 copy of the adjacency with vertices relabeled in BFS
+/// order. vid is 8 bytes, and both sweeps stream the whole adjacency once
+/// per source, so the narrowing halves the dominant stream. The relabel
+/// matters more: mention-graph ids come in first-seen order, effectively
+/// random with respect to structure, so every sigma/distance/coefficient
+/// access along a row is a cache miss; in BFS order a row's neighbors sit
+/// near each other and near the row's own vertex.
+///
+/// Each row keeps its original neighbor order (only the ids in it are
+/// renamed), so every per-vertex 4-lane sum (algs/bc_accum.hpp) sees the
+/// same terms in the same order and scores are bitwise those of a sweep
+/// over the caller's graph. Sources are mapped in (`to_bc`) and scores
+/// mapped back (`to_caller`); directed graphs keep the identity order
+/// (their push forward engine walks the GraphView), so their maps are
+/// empty. Built once per betweenness call, read-only afterwards; inactive
+/// (empty) when ids would not fit or the copy would not be worth the
+/// memory (see build_bc_graph).
+struct BcGraph {
   std::vector<eid> offsets;
   std::vector<std::int32_t> adj;
+  std::vector<std::int32_t> to_bc;      // caller id -> BC id (empty: identity)
+  std::vector<std::int32_t> to_caller;  // BC id -> caller id (empty: identity)
 
   [[nodiscard]] bool active() const { return !offsets.empty(); }
+  [[nodiscard]] bool relabeled() const { return !to_bc.empty(); }
+  [[nodiscard]] vid bc_id(vid v) const {
+    return relabeled() ? to_bc[static_cast<std::size_t>(v)] : v;
+  }
+  [[nodiscard]] Int32Rows rows() const {
+    return {offsets.data(), adj.data(),
+            static_cast<vid>(offsets.size()) - 1};
+  }
 };
 
-/// Narrow the adjacency to 32-bit ids when ids fit and the copy fits the
-/// score-memory budget; otherwise return an inactive (empty) copy and the
-/// sweep reads the GraphView directly.
-NarrowAdjacency narrow_adjacency(const GraphView& g,
-                                 const BetweennessOptions& opts) {
-  NarrowAdjacency na;
+/// BFS relabel of an undirected graph: rooted at the highest-degree vertex
+/// (lowest id on ties), then at each still-unvisited vertex in id order.
+/// O(n + m), serial, no sort. Fills `bg.to_bc` / `bg.to_caller`.
+void bfs_relabel(const GraphView& g, BcGraph& bg) {
   const vid n = g.num_vertices();
-  if (n > std::numeric_limits<std::int32_t>::max() ||
+  bg.to_bc.assign(static_cast<std::size_t>(n), -1);
+  bg.to_caller.resize(static_cast<std::size_t>(n));
+  vid root = 0;
+  for (vid v = 1; v < n; ++v) {
+    if (g.degree(v) > g.degree(root)) root = v;
+  }
+  // to_caller doubles as the BFS queue: [head, tail) are visited vertices
+  // whose rows are not yet scanned.
+  std::int32_t head = 0;
+  std::int32_t tail = 0;
+  auto visit = [&bg, &tail](vid v) {
+    bg.to_bc[static_cast<std::size_t>(v)] = tail;
+    bg.to_caller[static_cast<std::size_t>(tail++)] =
+        static_cast<std::int32_t>(v);
+  };
+  visit(root);
+  vid next_root = 0;
+  for (;;) {
+    while (head < tail) {
+      const vid u = bg.to_caller[static_cast<std::size_t>(head++)];
+      for (vid w : g.neighbors(u)) {
+        if (bg.to_bc[static_cast<std::size_t>(w)] < 0) visit(w);
+      }
+    }
+    while (next_root < n &&
+           bg.to_bc[static_cast<std::size_t>(next_root)] >= 0) {
+      ++next_root;
+    }
+    if (next_root == n) break;
+    visit(next_root);
+  }
+}
+
+/// Build the BC graph when ids fit int32 and the copy fits the
+/// score-memory budget; otherwise return an inactive (empty) graph and the
+/// sweeps read the GraphView directly.
+BcGraph build_bc_graph(const GraphView& g, const BetweennessOptions& opts) {
+  BcGraph bg;
+  const vid n = g.num_vertices();
+  if (n == 0 || n > std::numeric_limits<std::int32_t>::max() ||
       static_cast<std::uint64_t>(g.num_adjacency_entries()) *
               sizeof(std::int32_t) >
           opts.score_memory_budget_bytes) {
-    return na;
+    return bg;
   }
   GCT_SPAN("bc.narrow_adjacency");
-  na.offsets.resize(static_cast<std::size_t>(n) + 1);
-  na.adj.resize(static_cast<std::size_t>(g.num_adjacency_entries()));
-  eid pos = 0;
+  bg.offsets.resize(static_cast<std::size_t>(n) + 1);
+  bg.adj.resize(static_cast<std::size_t>(g.num_adjacency_entries()));
+  if (!g.directed()) bfs_relabel(g, bg);
+  bg.offsets[0] = 0;
+  for (vid i = 0; i < n; ++i) {
+    const vid v =
+        bg.relabeled() ? bg.to_caller[static_cast<std::size_t>(i)] : i;
+    bg.offsets[static_cast<std::size_t>(i) + 1] =
+        bg.offsets[static_cast<std::size_t>(i)] + g.degree(v);
+  }
+  // Rows are read in the caller's id order (sequential over a packed store)
+  // and written to their BC slots, renamed but in their original order.
+#pragma omp parallel for schedule(dynamic, 1024)
   for (vid v = 0; v < n; ++v) {
-    na.offsets[static_cast<std::size_t>(v)] = pos;
+    eid pos = bg.offsets[static_cast<std::size_t>(bg.bc_id(v))];
     for (vid u : g.neighbors(v)) {
-      na.adj[static_cast<std::size_t>(pos++)] = static_cast<std::int32_t>(u);
+      bg.adj[static_cast<std::size_t>(pos++)] =
+          static_cast<std::int32_t>(bg.bc_id(u));
     }
   }
-  na.offsets[static_cast<std::size_t>(n)] = pos;
-  return na;
+  return bg;
 }
 
 /// Hybrid-sweep settings for a planned forward engine.
@@ -143,12 +211,14 @@ BcSweepOptions sweep_options(const BetweennessOptions& opts,
 
 /// One backward dependency sweep, deepest level first, over the packed
 /// distance+coefficient array (already loaded with this source's
-/// distances). `nbrs_of(v)` yields v's neighbor span — int32 from the
-/// narrowed copy or vid from the GraphView — hence the template.
-template <typename NbrFn>
-void backward_sweep_impl(const GraphView& g, vid s, const BfsResult& b,
-                         BcWorkspace& ws, std::span<double> score,
-                         const NbrFn& nbrs_of, int nthreads, bool profiling) {
+/// distances). `rows` is the BC graph's Int32Rows or the GraphView, hence
+/// the template. `score_ids`, when non-null, maps a row id to its slot in
+/// `score` (BcSourceEngine callers index scores by their own ids).
+template <typename Rows>
+void backward_sweep(const Rows& rows, vid s, const BfsResult& b,
+                    BcWorkspace& ws, std::span<double> score,
+                    const std::int32_t* score_ids, int nthreads,
+                    bool profiling) {
   const auto& sigma = ws.sigma;
   DistCoef* dc = ws.dc.data();
   const std::int64_t num_levels =
@@ -171,7 +241,7 @@ void backward_sweep_impl(const GraphView& g, vid s, const BfsResult& b,
     if (profiling) {
       std::int64_t fe = 0;
       for (eid i = lo; i < hi; ++i) {
-        fe += g.degree(b.order[static_cast<std::size_t>(i)]);
+        fe += rows.degree(b.order[static_cast<std::size_t>(i)]);
       }
       obs::add_work(hi - lo, fe);
     }
@@ -187,9 +257,9 @@ void backward_sweep_impl(const GraphView& g, vid s, const BfsResult& b,
             // instead (coef * 1.0 or coef * 0.0 — exact either way, coef
             // is always finite) with the canonical 4-lane layout from
             // algs/bc_accum.hpp, so the summation order is fixed for any
-            // thread count, mode, forward engine, or (dist path) worker
-            // count.
-            const auto nbrs = nbrs_of(v);
+            // thread count, mode, forward engine, vertex labeling, or
+            // (dist path) worker count.
+            const auto nbrs = rows.neighbors(v);
             const double acc =
                 bc_pull_coef_row(nbrs.data(),
                                  static_cast<std::int64_t>(nbrs.size()), dc,
@@ -197,38 +267,25 @@ void backward_sweep_impl(const GraphView& g, vid s, const BfsResult& b,
             const double sv = sigma[static_cast<std::size_t>(v)];
             const double dv = sv * acc;
             dc[v].coef = (1.0 + dv) / sv;
-            if (v != s) score[static_cast<std::size_t>(v)] += dv;
+            if (v != s) {
+              score[static_cast<std::size_t>(
+                  score_ids != nullptr ? score_ids[v] : v)] += dv;
+            }
           }
         });
   }
 }
 
-void backward_sweep(const GraphView& g, vid s, const BfsResult& b,
-                    BcWorkspace& ws, std::span<double> score,
-                    const NarrowAdjacency& na, int nthreads, bool profiling) {
-  if (na.active()) {
-    const eid* off = na.offsets.data();
-    const std::int32_t* adj = na.adj.data();
-    backward_sweep_impl(
-        g, s, b, ws, score,
-        [off, adj](vid v) {
-          return std::span<const std::int32_t>(
-              adj + off[v], static_cast<std::size_t>(off[v + 1] - off[v]));
-        },
-        nthreads, profiling);
-  } else {
-    backward_sweep_impl(
-        g, s, b, ws, score, [&g](vid v) { return g.neighbors(v); }, nthreads,
-        profiling);
-  }
-}
-
 /// Brandes accumulation from one source into `score`.
+///
+/// `s` is a BC-graph id, and `score` is indexed by BC-graph id unless
+/// `score_ids` maps BC ids to its slots. With an inactive BC graph, BC
+/// ids are the caller's.
 ///
 /// Forward: undirected graphs run bc_forward_sweep (fused direction-
 /// optimizing BFS + pull sigma; `sweep.hybrid` false = pure top-down, the
-/// ablation baseline — bit-identical scores either way). Directed graphs
-/// take the push baseline above.
+/// ablation baseline — bit-identical scores either way), over the BC graph
+/// when there is one. Directed graphs take the push baseline above.
 ///
 /// Backward: coefficient form. Instead of delta we keep
 /// coef[v] = (1 + delta[v]) / sigma[v], so each vertex does ONE division and
@@ -238,14 +295,16 @@ void backward_sweep(const GraphView& g, vid s, const BfsResult& b,
 /// mode, and bit-identical results for any thread count. Levels are
 /// scheduled through the work-stealing queue; under coarse mode
 /// stealing_for detects the enclosing parallel region and runs inline.
-void accumulate_source(const GraphView& g, vid s, BcWorkspace& ws,
-                       std::span<double> score,
-                       const BcSweepOptions& sweep,
-                       const NarrowAdjacency& na) {
+void accumulate_source(const GraphView& g, const BcGraph& bg, vid s,
+                       BcWorkspace& ws, std::span<double> score,
+                       const std::int32_t* score_ids,
+                       const BcSweepOptions& sweep) {
   BfsResult& b = ws.bfs_buffer;
   auto& sigma = ws.sigma;
   if (g.directed()) {
     forward_push_directed(g, s, b, sigma);
+  } else if (bg.active()) {
+    bc_forward_sweep(bg.rows(), s, sweep, b, sigma);
   } else {
     bc_forward_sweep(g, s, sweep, b, sigma);
   }
@@ -266,7 +325,12 @@ void accumulate_source(const GraphView& g, vid s, BcWorkspace& ws,
       dc[v].dist = dist[static_cast<std::size_t>(v)];
     }
   }
-  backward_sweep(g, s, b, ws, score, na, nthreads, profiling);
+  if (bg.active()) {
+    backward_sweep(bg.rows(), s, b, ws, score, score_ids, nthreads,
+                   profiling);
+  } else {
+    backward_sweep(g, s, b, ws, score, score_ids, nthreads, profiling);
+  }
 }
 
 std::vector<vid> sample_component_aware(const GraphView& g, std::int64_t k,
@@ -447,11 +511,12 @@ BetweennessResult betweenness_impl(const GraphView& g,
     for (vid s : sources) engine.accumulate(s, result.score);
   } else {
     const BcSweepOptions sweep = sweep_options(opts, plan.forward);
-    const NarrowAdjacency na = narrow_adjacency(g, opts);
+    const BcGraph bg = build_bc_graph(g, opts);
     // Coarse: sources in parallel across a buffer team, batch by batch; each
     // batch ends with a parallel tree reduction that folds the buffers into
     // the global scores and re-zeroes them for the next batch, so peak
     // score-buffer memory stays at plan.buffer_bytes for the whole run.
+    // Buffers and scores are indexed by BC-graph id until the end.
     result.batches = plan.num_batches;
     result.peak_buffer_bytes = plan.buffer_bytes;
     const int team = plan.team;
@@ -474,10 +539,11 @@ BetweennessResult betweenness_impl(const GraphView& g,
             const int t = omp_get_thread_num();
 #pragma omp for schedule(dynamic, 1)
             for (std::int64_t i = b0; i < b1; ++i) {
-              accumulate_source(g, sources[static_cast<std::size_t>(i)],
+              accumulate_source(g, bg,
+                                bg.bc_id(sources[static_cast<std::size_t>(i)]),
                                 workspaces[static_cast<std::size_t>(t)],
-                                buffers[static_cast<std::size_t>(t)], sweep,
-                                na);
+                                buffers[static_cast<std::size_t>(t)],
+                                /*score_ids=*/nullptr, sweep);
             }
           }
         }
@@ -491,6 +557,19 @@ BetweennessResult betweenness_impl(const GraphView& g,
                           std::span<double>(result.score.data(),
                                             result.score.size()),
                           /*clear_buffers=*/b1 < num_sources);
+    }
+    if (bg.relabeled()) {
+      // Once per call: the spent first buffer takes the scores back in the
+      // caller's ids (a permutation, so every slot is overwritten).
+      GCT_SPAN("bc.reduce_tree");
+      std::vector<double>& out = buffers.front();
+#pragma omp parallel for schedule(static)
+      for (vid v = 0; v < n; ++v) {
+        const auto slot = bg.to_caller[static_cast<std::size_t>(v)];
+        out[static_cast<std::size_t>(slot)] =
+            result.score[static_cast<std::size_t>(v)];
+      }
+      result.score.swap(out);
     }
   }
 
@@ -513,20 +592,19 @@ BetweennessResult betweenness_impl(const GraphView& g,
 struct BcSourceEngine::State {
   GraphView g;
   BcSweepOptions sweep;
-  NarrowAdjacency na;
+  BcGraph bg;
   BcWorkspace ws;
 };
 
 BcSourceEngine::BcSourceEngine(const GraphView& g,
                                const BetweennessOptions& opts,
-                               bool narrow_adjacency_copy)
+                               bool narrow_adjacency)
     : st_(std::make_unique<State>(State{
           g,
           sweep_options(opts, plan_betweenness(g.num_vertices(), 1, 1, opts,
                                                g.directed())
                                   .forward),
-          narrow_adjacency_copy ? narrow_adjacency(g, opts)
-                                : NarrowAdjacency{},
+          narrow_adjacency ? build_bc_graph(g, opts) : BcGraph{},
           BcWorkspace(g.num_vertices())})) {}
 
 BcSourceEngine::~BcSourceEngine() = default;
@@ -536,7 +614,10 @@ void BcSourceEngine::accumulate(vid s, std::span<double> score) {
             "betweenness: source out of range");
   GCT_CHECK(static_cast<vid>(score.size()) == st_->g.num_vertices(),
             "betweenness: score span does not match the graph");
-  accumulate_source(st_->g, s, st_->ws, score, st_->sweep, st_->na);
+  const BcGraph& bg = st_->bg;
+  accumulate_source(st_->g, bg, bg.bc_id(s), st_->ws, score,
+                    bg.relabeled() ? bg.to_caller.data() : nullptr,
+                    st_->sweep);
 }
 
 BetweennessResult betweenness_centrality(const GraphView& g,

@@ -21,6 +21,15 @@
 ///    thread count. (On one socket, coarse wins when sources are many; fine
 ///    is the XMT-style mode and the ablation point.)
 ///
+/// Both sweeps run over a locality-ordered BC graph built once per call:
+/// an int32 copy of the adjacency with vertices relabeled in BFS order
+/// (undirected graphs; directed ones keep their ids), so a row's neighbors
+/// sit close in memory. Sources are chosen on the caller's ids and scores
+/// come back in them. Each row keeps its neighbor order, and row order,
+/// not vertex ids, fixes the bits of every per-vertex sum
+/// (algs/bc_accum.hpp): scores are bitwise those of a sweep over the
+/// caller's graph, with or without the copy.
+///
 /// BcSourceEngine exposes fine mode's per-source pass on its own; the
 /// distributed workers (dist/worker.hpp) run their sources through it.
 
@@ -96,6 +105,8 @@ struct BetweennessOptions {
   /// sources run in batches of 8 x team so each tree reduction amortizes
   /// over several sources. When the budget cannot fit two buffers the engine
   /// falls back to fine-grained mode, whose score memory is O(1) buffers.
+  /// In every mode it also gates the BC graph: the int32 copy (4 bytes per
+  /// adjacency entry) is built only when it fits; 0 disables it.
   std::uint64_t score_memory_budget_bytes = std::uint64_t{1} << 30;
 };
 
@@ -163,9 +174,10 @@ class BcSourceEngine {
  public:
   /// Plans the forward engine and sweep thresholds from `opts` exactly as
   /// betweenness_centrality does. `narrow_adjacency` allows the one-time
-  /// int32 adjacency copy (built only when ids fit and the copy fits
-  /// opts.score_memory_budget_bytes); false reads `g` directly, which
-  /// gives the same scores with one adjacency copy less.
+  /// locality-ordered int32 copy (the BC graph; built only when ids fit
+  /// and the copy fits opts.score_memory_budget_bytes); false reads `g`
+  /// directly, which gives bitwise the same scores with one adjacency copy
+  /// less. Sources and scores are in `g`'s ids either way.
   explicit BcSourceEngine(const GraphView& g,
                           const BetweennessOptions& opts = {},
                           bool narrow_adjacency = true);

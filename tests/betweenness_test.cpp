@@ -10,8 +10,11 @@
 #include "gen/shapes.hpp"
 #include "graph/builder.hpp"
 #include "test_support.hpp"
+#include "twitter/corpus_gen.hpp"
+#include "twitter/mention_graph.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace graphct {
 namespace {
@@ -440,6 +443,191 @@ TEST(BcForwardEngineTest, FineModeBitIdenticalAcrossThreadCounts) {
     }
   }
   set_num_threads(0);
+}
+
+// ---- Locality-ordered BC graph ----
+//
+// Betweenness runs both sweeps over a BFS-relabeled int32 copy of the
+// graph whose rows keep their neighbor order. Row order, not vertex ids,
+// fixes the bits: relabeling the input any other row-order-preserving way
+// must give bitwise the same score at each vertex's new id.
+
+/// g relabeled by `to_new` (old id -> new id), each row keeping its
+/// neighbor order.
+CsrGraph relabel_keeping_row_order(const CsrGraph& g,
+                                   const std::vector<vid>& to_new) {
+  const vid n = g.num_vertices();
+  std::vector<vid> to_old(static_cast<std::size_t>(n));
+  for (vid v = 0; v < n; ++v) {
+    to_old[static_cast<std::size_t>(to_new[static_cast<std::size_t>(v)])] = v;
+  }
+  std::vector<eid> offsets{0};
+  std::vector<vid> adj;
+  for (vid i = 0; i < n; ++i) {
+    for (vid u : g.neighbors(to_old[static_cast<std::size_t>(i)])) {
+      adj.push_back(to_new[static_cast<std::size_t>(u)]);
+    }
+    offsets.push_back(static_cast<eid>(adj.size()));
+  }
+  return CsrGraph(std::move(offsets), std::move(adj), g.directed(),
+                  g.num_self_loops(), /*sorted_adjacency=*/false);
+}
+
+/// A random permutation of [0, n) that maps every vertex of `fixed` to
+/// itself.
+std::vector<vid> random_relabel(vid n, std::uint64_t seed,
+                                const std::vector<vid>& fixed = {}) {
+  std::vector<char> pinned(static_cast<std::size_t>(n), 0);
+  for (vid v : fixed) pinned[static_cast<std::size_t>(v)] = 1;
+  std::vector<vid> movable;
+  for (vid v = 0; v < n; ++v) {
+    if (!pinned[static_cast<std::size_t>(v)]) movable.push_back(v);
+  }
+  std::vector<vid> shuffled = movable;
+  Rng rng(seed);
+  rng.shuffle(shuffled);
+  std::vector<vid> to_new(static_cast<std::size_t>(n));
+  for (vid v = 0; v < n; ++v) to_new[static_cast<std::size_t>(v)] = v;
+  for (std::size_t i = 0; i < movable.size(); ++i) {
+    to_new[static_cast<std::size_t>(movable[i])] = shuffled[i];
+  }
+  return to_new;
+}
+
+void expect_bitwise_equal_after_relabel(const std::vector<double>& orig,
+                                        const std::vector<double>& relabeled,
+                                        const std::vector<vid>& to_new) {
+  ASSERT_EQ(orig.size(), relabeled.size());
+  for (std::size_t v = 0; v < orig.size(); ++v) {
+    ASSERT_EQ(orig[v],
+              relabeled[static_cast<std::size_t>(to_new[v])])
+        << "vertex " << v;
+  }
+}
+
+CsrGraph small_mention_graph() {
+  twitter::CorpusOptions co;
+  co.user_pool = 3000;
+  co.num_tweets = 4000;
+  co.seed = 11;
+  twitter::MentionGraphBuilder b;
+  for (const auto& tw : twitter::generate_corpus(co)) b.add(tw);
+  return std::move(b).build().undirected();
+}
+
+CsrGraph small_rmat() {
+  RmatOptions ro;
+  ro.scale = 10;
+  ro.edge_factor = 16;
+  ro.seed = 13;
+  return rmat_graph(ro);
+}
+
+// The modes whose scores are bitwise reproducible: fine at any thread
+// count, coarse with its single buffer at t=1.
+struct BitwiseRun {
+  BcParallelism mode;
+  int threads;
+};
+constexpr BitwiseRun kBitwiseRuns[] = {{BcParallelism::kFine, 1},
+                                       {BcParallelism::kFine, 4},
+                                       {BcParallelism::kCoarse, 1}};
+
+TEST(BcGraphTest, RelabelingTheInputKeepsScoresBitwise) {
+  // Sources are chosen on the caller's ids (uniform sampling depends only
+  // on n, k and the seed), so the relabel pins them: both runs then add
+  // the same per-source terms in the same order, per vertex.
+  for (const auto& g : {small_rmat(), small_mention_graph()}) {
+    BetweennessOptions o;
+    o.num_sources = 64;
+    o.seed = 5;
+    const auto sources = choose_sources(g, o);
+    const auto to_new = random_relabel(g.num_vertices(), 17, sources);
+    const auto h = relabel_keeping_row_order(g, to_new);
+    ASSERT_EQ(choose_sources(h, o), sources);
+    for (const BitwiseRun& run : kBitwiseRuns) {
+      o.parallelism = run.mode;
+      set_num_threads(run.threads);
+      const auto a = betweenness_centrality(g, o);
+      const auto b = betweenness_centrality(h, o);
+      set_num_threads(0);
+      double sum = 0.0;
+      for (double x : a.score) sum += x;
+      EXPECT_GT(sum, 0.0);
+      expect_bitwise_equal_after_relabel(a.score, b.score, to_new);
+    }
+  }
+}
+
+TEST(BcGraphTest, SourceEngineIsBitwiseUnderAnyRelabel) {
+  // The per-source engine takes sources and scores in the caller's ids, so
+  // a relabel need not pin anything: run the mapped sources in the same
+  // order and compare at the mapped ids.
+  for (const auto& g : {small_rmat(), small_mention_graph()}) {
+    BetweennessOptions o;
+    o.num_sources = 48;
+    o.seed = 9;
+    const auto sources = choose_sources(g, o);
+    const auto to_new = random_relabel(g.num_vertices(), 23);
+    const auto h = relabel_keeping_row_order(g, to_new);
+    for (int t : {1, 4}) {
+      set_num_threads(t);
+      std::vector<double> a(static_cast<std::size_t>(g.num_vertices()), 0.0);
+      std::vector<double> b(a.size(), 0.0);
+      BcSourceEngine ea(g, o);
+      BcSourceEngine eb(h, o);
+      for (vid s : sources) {
+        ea.accumulate(s, a);
+        eb.accumulate(to_new[static_cast<std::size_t>(s)], b);
+      }
+      set_num_threads(0);
+      expect_bitwise_equal_after_relabel(a, b, to_new);
+    }
+  }
+}
+
+TEST(BcGraphTest, StarHubWithLargestIdScoresAtItsOwnId) {
+  // The BC graph roots its BFS order at the highest-degree vertex, so the
+  // hub moves from the last id to the first; its score must come back to
+  // the caller's id.
+  constexpr vid kSpokes = 8;
+  EdgeList el(kSpokes + 1);
+  for (vid v = 0; v < kSpokes; ++v) el.add(kSpokes, v);
+  BuildOptions bo;
+  bo.symmetrize = true;
+  const auto g = build_csr(el, bo);
+  std::vector<double> want(static_cast<std::size_t>(kSpokes) + 1, 0.0);
+  want.back() = static_cast<double>(kSpokes * (kSpokes - 1));
+  for (auto mode : {BcParallelism::kFine, BcParallelism::kCoarse,
+                    BcParallelism::kAuto}) {
+    BetweennessOptions o;
+    o.parallelism = mode;
+    expect_scores_bitwise_equal(betweenness_centrality(g, o).score, want);
+  }
+  std::vector<double> score(want.size(), 0.0);
+  BcSourceEngine engine(g);
+  for (vid s = 0; s <= kSpokes; ++s) engine.accumulate(s, score);
+  expect_scores_bitwise_equal(score, want);
+}
+
+TEST(BcGraphTest, NoCopyBudgetGivesBitwiseTheSameScores) {
+  // score_memory_budget_bytes = 0 leaves no room for the BC graph, so both
+  // sweeps read the caller's graph directly.
+  for (const auto& g : {small_rmat(), small_mention_graph()}) {
+    BetweennessOptions with_copy;
+    with_copy.num_sources = 64;
+    with_copy.seed = 3;
+    BetweennessOptions no_copy = with_copy;
+    no_copy.score_memory_budget_bytes = 0;
+    for (const BitwiseRun& run : kBitwiseRuns) {
+      with_copy.parallelism = no_copy.parallelism = run.mode;
+      set_num_threads(run.threads);
+      const auto a = betweenness_centrality(g, with_copy);
+      const auto b = betweenness_centrality(g, no_copy);
+      set_num_threads(0);
+      expect_scores_bitwise_equal(a.score, b.score);
+    }
+  }
 }
 
 // Property sweep: parallel implementation matches the serial Brandes
