@@ -7,6 +7,15 @@
 
 namespace graphct {
 
+namespace {
+
+// Builds with fewer vertices plus edges than this run serially: below it,
+// opening OpenMP teams costs more than the build (the 4-thread crossover
+// measured ~4k edges on ~2.7k vertices).
+constexpr std::int64_t kBuildSerialBelow = 8192;
+
+}  // namespace
+
 CsrGraph build_csr(const EdgeList& edges, const BuildOptions& opts) {
   GCT_CHECK(!opts.dedup || opts.sort_adjacency,
             "build_csr: dedup requires sort_adjacency");
@@ -17,10 +26,11 @@ CsrGraph build_csr(const EdgeList& edges, const BuildOptions& opts) {
                     : edges.inferred_num_vertices();
   const std::int64_t m = static_cast<std::int64_t>(edges.size());
   const auto& es = edges.edges();
+  const bool par = n + m >= kBuildSerialBelow;
 
   // Validate endpoints (cheap, catches generator/parser bugs early).
   bool ok = true;
-#pragma omp parallel for reduction(&& : ok) schedule(static)
+#pragma omp parallel for reduction(&& : ok) schedule(static) if (par)
   for (std::int64_t i = 0; i < m; ++i) {
     const Edge& e = es[static_cast<std::size_t>(i)];
     ok = ok && e.src >= 0 && e.src < n && e.dst >= 0 && e.dst < n;
@@ -29,7 +39,7 @@ CsrGraph build_csr(const EdgeList& edges, const BuildOptions& opts) {
 
   // Pass 1: degree counting with atomic fetch-and-add.
   std::vector<std::int64_t> degree(static_cast<std::size_t>(n) + 1, 0);
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (par)
   for (std::int64_t i = 0; i < m; ++i) {
     const Edge& e = es[static_cast<std::size_t>(i)];
     if (e.src == e.dst) {
@@ -53,7 +63,7 @@ CsrGraph build_csr(const EdgeList& edges, const BuildOptions& opts) {
   // Pass 2: scatter through per-vertex atomic cursors.
   std::vector<eid> cursor(offsets.begin(), offsets.end() - 1);
   std::vector<vid> adjacency(static_cast<std::size_t>(entries));
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (par)
   for (std::int64_t i = 0; i < m; ++i) {
     const Edge& e = es[static_cast<std::size_t>(i)];
     if (e.src == e.dst) {
@@ -72,7 +82,7 @@ CsrGraph build_csr(const EdgeList& edges, const BuildOptions& opts) {
 
   // Pass 3: per-vertex sort (+ dedup compaction).
   if (opts.sort_adjacency) {
-#pragma omp parallel for schedule(dynamic, 64)
+#pragma omp parallel for schedule(dynamic, 64) if (par)
     for (vid v = 0; v < n; ++v) {
       auto* lo = adjacency.data() + offsets[static_cast<std::size_t>(v)];
       auto* hi = adjacency.data() + offsets[static_cast<std::size_t>(v) + 1];
@@ -82,7 +92,7 @@ CsrGraph build_csr(const EdgeList& edges, const BuildOptions& opts) {
 
   if (opts.dedup) {
     std::vector<std::int64_t> uniq(static_cast<std::size_t>(n), 0);
-#pragma omp parallel for schedule(dynamic, 64)
+#pragma omp parallel for schedule(dynamic, 64) if (par)
     for (vid v = 0; v < n; ++v) {
       const auto lo = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
       const auto hi =
@@ -99,7 +109,7 @@ CsrGraph build_csr(const EdgeList& edges, const BuildOptions& opts) {
         std::span<std::int64_t>(new_offsets.data(), new_offsets.size() - 1));
     new_offsets.back() = new_entries;
     std::vector<vid> new_adj(static_cast<std::size_t>(new_entries));
-#pragma omp parallel for schedule(dynamic, 64)
+#pragma omp parallel for schedule(dynamic, 64) if (par)
     for (vid v = 0; v < n; ++v) {
       const auto lo = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
       const auto hi =
@@ -117,7 +127,8 @@ CsrGraph build_csr(const EdgeList& edges, const BuildOptions& opts) {
 
   // Count self-loops in the final structure (stored once per vertex list).
   std::int64_t self_loops = 0;
-#pragma omp parallel for reduction(+ : self_loops) schedule(dynamic, 64)
+#pragma omp parallel for reduction(+ : self_loops) schedule(dynamic, 64) \
+    if (par)
   for (vid v = 0; v < n; ++v) {
     const auto lo = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
     const auto hi =

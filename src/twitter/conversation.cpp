@@ -17,9 +17,30 @@ SubcommunityResult subcommunity_filter(const MentionGraph& mg) {
   r.original_edges = und.num_edges();
 
   {
-    graphct::Subgraph lwcc = graphct::largest_component(und);
-    r.lwcc_vertices = lwcc.graph.num_vertices();
-    r.lwcc_edges = lwcc.graph.num_edges();
+    // The LWCC's counts come from the labels and degrees; extracting it
+    // (largest_component) would build a copy only to count it.
+    const std::vector<vid> labels = graphct::connected_components(und);
+    std::vector<std::int64_t> size(labels.size(), 0);
+    for (vid l : labels) ++size[static_cast<std::size_t>(l)];
+    // Labels are the smallest id in each component; max_element keeps the
+    // first, smallest label on a size tie, as component_stats orders them.
+    const auto largest = std::max_element(size.begin(), size.end());
+    const auto lwcc = static_cast<vid>(largest - size.begin());
+    // An undirected CSR stores a self-loop once and every other edge
+    // twice; count edges as CsrGraph::num_edges does.
+    const vid n = und.num_vertices();
+    std::int64_t entries = 0;
+    std::int64_t loops = 0;
+#pragma omp parallel for reduction(+ : entries, loops) schedule(static)
+    for (vid v = 0; v < n; ++v) {
+      if (labels[static_cast<std::size_t>(v)] != lwcc) continue;
+      for (vid u : und.neighbors(v)) {
+        ++entries;
+        if (u == v) ++loops;
+      }
+    }
+    r.lwcc_vertices = largest == size.end() ? 0 : *largest;
+    r.lwcc_edges = (entries + loops) / 2;
   }
 
   // Mutual filter runs on the directed graph: u<->v only when both arcs

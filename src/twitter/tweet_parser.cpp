@@ -1,47 +1,93 @@
 #include "twitter/tweet_parser.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <unordered_set>
+#include <bit>
+#include <limits>
 
 namespace graphct::twitter {
 
-bool is_username_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+namespace {
+
+// Past this many mentions in one text, duplicates are found through a hash
+// set rather than by comparing with every earlier mention, so a text with
+// k mentions costs O(k), not O(k^2).
+constexpr std::size_t kLinearDedupMax = 16;
+constexpr std::size_t kNoMention = std::numeric_limits<std::size_t>::max();
+
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
 }
+
+// End of the user name starting at text[b] (b itself when there is none).
+std::size_t name_end(std::string_view text, std::size_t b) {
+  while (b < text.size() && is_username_char(text[b])) ++b;
+  return b;
+}
+
+}  // namespace
 
 std::string normalize_username(std::string_view name) {
   std::string out(name);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  std::transform(out.begin(), out.end(), out.begin(), to_lower_ascii);
   return out;
 }
 
-ParsedTweet parse_tweet(const Tweet& tweet) {
-  ParsedTweet p;
-  p.id = tweet.id;
-  p.author = normalize_username(tweet.author);
-  p.timestamp = tweet.timestamp;
+TweetScan::Span TweetScan::append_lower(std::string_view raw) {
+  const Span s{names_.size(), names_.size() + raw.size()};
+  const auto begin = static_cast<std::ptrdiff_t>(s.begin);
+  names_.append(raw);
+  std::transform(names_.begin() + begin, names_.end(), names_.begin() + begin,
+                 to_lower_ascii);
+  return s;
+}
 
-  const std::string_view text = tweet.text;
-  std::unordered_set<std::string> seen_mentions;
+bool TweetScan::add_mention(Span name, std::size_t text_size) {
+  const std::string_view n = view(name);
+  if (seen_.empty()) {
+    for (const Span& s : mentions_) {
+      if (view(s) == n) return false;
+    }
+    mentions_.push_back(name);
+    if (mentions_.size() < kLinearDedupMax) return true;
+    // Index every mention so far. A mention takes at least two bytes, so
+    // a table of bit_ceil(text_size + 1) slots stays at most half full.
+    seen_.assign(std::bit_ceil(text_size + 1), kNoMention);
+    const std::size_t mask = seen_.size() - 1;
+    for (std::size_t m = 0; m < mentions_.size(); ++m) {
+      std::size_t slot = hash_username(view(mentions_[m])) & mask;
+      while (seen_[slot] != kNoMention) slot = (slot + 1) & mask;
+      seen_[slot] = m;
+    }
+    return true;
+  }
+  const std::size_t mask = seen_.size() - 1;
+  std::size_t slot = hash_username(n) & mask;
+  for (; seen_[slot] != kNoMention; slot = (slot + 1) & mask) {
+    if (view(mentions_[seen_[slot]]) == n) return false;
+  }
+  seen_[slot] = mentions_.size();
+  mentions_.push_back(name);
+  return true;
+}
+
+void TweetScan::scan(std::string_view text) {
+  names_.clear();
+  mentions_.clear();
+  hashtags_.clear();
+  seen_.clear();
+  retweet_of_ = {};
+  is_retweet_ = false;
 
   // Retweet marker: optional leading whitespace, then "RT @user".
   std::size_t start = 0;
-  while (start < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[start]))) {
-    ++start;
-  }
-  if (start + 4 <= text.size() && text[start] == 'R' &&
-      text[start + 1] == 'T' && text[start + 2] == ' ' &&
-      text[start + 3] == '@') {
-    std::size_t q = start + 4;
-    std::size_t b = q;
-    while (q < text.size() && is_username_char(text[q])) ++q;
+  while (start < text.size() && is_space(text[start])) ++start;
+  if (text.substr(start, 4) == "RT @") {
+    const std::size_t b = start + 4;
+    const std::size_t q = name_end(text, b);
     if (q > b) {
-      p.is_retweet = true;
-      p.retweet_of = normalize_username(text.substr(b, q - b));
+      is_retweet_ = true;
+      retweet_of_ = append_lower(text.substr(b, q - b));
     }
   }
 
@@ -50,21 +96,38 @@ ParsedTweet parse_tweet(const Tweet& tweet) {
     if (c != '@' && c != '#') continue;
     // A symbol glued to the end of a word ("mail@example") is not a mention.
     if (i > 0 && is_username_char(text[i - 1])) continue;
-    std::size_t q = i + 1;
-    while (q < text.size() && is_username_char(text[q])) ++q;
+    const std::size_t q = name_end(text, i + 1);
     if (q == i + 1) continue;  // bare '@' or '#'
-    std::string token = normalize_username(text.substr(i + 1, q - i - 1));
-    if (c == '@') {
-      if (seen_mentions.insert(token).second) {
-        p.mentions.push_back(std::move(token));
-      }
-    } else {
-      if (std::find(p.hashtags.begin(), p.hashtags.end(), token) ==
-          p.hashtags.end()) {
-        p.hashtags.push_back(std::move(token));
-      }
+    const Span token = append_lower(text.substr(i + 1, q - i - 1));
+    if (c == '#') {
+      hashtags_.push_back(token);
+    } else if (!add_mention(token, text.size())) {
+      names_.resize(token.begin);  // a repeat: drop its bytes
     }
     i = q - 1;
+  }
+}
+
+ParsedTweet parse_tweet(const Tweet& tweet) {
+  TweetScan scan;
+  scan.scan(tweet.text);
+
+  ParsedTweet p;
+  p.id = tweet.id;
+  p.author = normalize_username(tweet.author);
+  p.timestamp = tweet.timestamp;
+  p.is_retweet = scan.is_retweet();
+  p.retweet_of = scan.retweet_of();
+  p.mentions.reserve(scan.num_mentions());
+  for (std::size_t i = 0; i < scan.num_mentions(); ++i) {
+    p.mentions.emplace_back(scan.mention(i));
+  }
+  for (std::size_t i = 0; i < scan.num_hashtags(); ++i) {
+    const std::string_view tag = scan.hashtag(i);
+    if (std::find(p.hashtags.begin(), p.hashtags.end(), tag) ==
+        p.hashtags.end()) {
+      p.hashtags.emplace_back(tag);
+    }
   }
   return p;
 }

@@ -10,6 +10,13 @@
 
 namespace graphct {
 
+namespace {
+
+// Scans shorter than this run serially: a team costs more than the sum.
+constexpr std::int64_t kScanSerialBelow = 16384;
+
+}  // namespace
+
 int num_threads() { return omp_get_max_threads(); }
 
 int effective_num_threads() { return obs::effective_threads(); }
@@ -70,7 +77,15 @@ std::int64_t exclusive_scan(std::span<const std::int64_t> in,
                             std::span<std::int64_t> out) {
   GCT_ASSERT(in.size() == out.size());
   const std::int64_t n = static_cast<std::int64_t>(in.size());
-  if (n == 0) return 0;
+  if (n < kScanSerialBelow) {
+    std::int64_t run = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int64_t x = in[static_cast<std::size_t>(i)];
+      out[static_cast<std::size_t>(i)] = run;
+      run += x;
+    }
+    return run;
+  }
 
   const int nt = num_threads();
   std::vector<std::int64_t> block_sum(static_cast<std::size_t>(nt) + 1, 0);

@@ -47,7 +47,8 @@ bool compare_and_swap(std::int64_t& target, std::int64_t expected,
 bool atomic_min(std::int64_t& target, std::int64_t value);
 
 /// Exclusive prefix sum of `in`, written to `out` (out[0] = 0); returns the
-/// total. `in` and `out` may alias. Parallel two-pass block algorithm.
+/// total. `in` and `out` may alias. Parallel two-pass block algorithm;
+/// short inputs (under 16k elements) are summed serially.
 std::int64_t exclusive_scan(std::span<const std::int64_t> in,
                             std::span<std::int64_t> out);
 

@@ -4,6 +4,9 @@
 
 #include <set>
 
+#include "algs/connected_components.hpp"
+#include "twitter/datasets.hpp"
+
 namespace graphct::twitter {
 namespace {
 
@@ -71,6 +74,49 @@ TEST(SubcommunityTest, LwccOfOriginalComputed) {
   EXPECT_EQ(r.original_vertices, 5);
   EXPECT_EQ(r.lwcc_vertices, 3);  // a-b-e
   EXPECT_EQ(r.lwcc_edges, 2);
+}
+
+TEST(SubcommunityTest, LwccCountsMatchExtraction) {
+  // Two largest components of 3 users each; the first-seen one (a, b, c)
+  // has the smaller ids and so the smaller label, and wins the tie. Its
+  // self-loop counts once. The other (d, e, f) has more edges, so the
+  // tie-break shows in lwcc_edges. lone is isolated; quiet only mentions
+  // themself.
+  const auto mg = build({
+      tw(1, "a", "@a @b"), tw(2, "b", "@c"),
+      tw(3, "lone", "no mentions"),
+      tw(4, "d", "@e @d"), tw(5, "e", "@f"), tw(6, "f", "@d @f"),
+      tw(7, "quiet", "@quiet"),
+  });
+  const auto r = subcommunity_filter(mg);
+  const graphct::Subgraph lwcc = graphct::largest_component(mg.undirected());
+  EXPECT_EQ(r.lwcc_vertices, lwcc.graph.num_vertices());
+  EXPECT_EQ(r.lwcc_edges, lwcc.graph.num_edges());
+  EXPECT_EQ(r.lwcc_vertices, 3);
+  EXPECT_EQ(r.lwcc_edges, 3);  // a-b, b-c and the loop at a
+  std::set<std::string> names;
+  for (vid v : lwcc.orig_ids) {
+    names.insert(mg.users[static_cast<std::size_t>(v)]);
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"a", "b", "c"}));
+}
+
+TEST(SubcommunityTest, LwccCountsMatchExtractionOnGeneratedCorpus) {
+  MentionGraphBuilder b;
+  for (const auto& t : generate_corpus(dataset_preset("tiny").corpus)) b.add(t);
+  const auto mg = std::move(b).build();
+  const auto r = subcommunity_filter(mg);
+  const graphct::Subgraph lwcc = graphct::largest_component(mg.undirected());
+  EXPECT_EQ(r.lwcc_vertices, lwcc.graph.num_vertices());
+  EXPECT_EQ(r.lwcc_edges, lwcc.graph.num_edges());
+}
+
+TEST(SubcommunityTest, EmptyMentionGraph) {
+  const auto r = subcommunity_filter(MentionGraphBuilder{}.build());
+  EXPECT_EQ(r.original_vertices, 0);
+  EXPECT_EQ(r.lwcc_vertices, 0);
+  EXPECT_EQ(r.lwcc_edges, 0);
+  EXPECT_EQ(r.mutual_vertices, 0);
 }
 
 TEST(SubcommunityTest, SelfReferenceIsNotAConversation) {

@@ -109,6 +109,29 @@ TEST(ScanTest, CorrectTotalInsideParallelRegion) {
   for (const auto total : totals) EXPECT_EQ(total, 1000);
 }
 
+TEST(ScanTest, BlockPathInsideParallelRegionAndInPlace) {
+  // Inputs this long take the blocked path rather than the short-input
+  // loop, so the team-size regression above is covered on that path too.
+  constexpr std::int64_t kLong = 100000;
+  set_num_threads(4);
+  std::vector<std::int64_t> totals(4, -1);
+  std::vector<int> prefix_ok(4, 0);
+#pragma omp parallel num_threads(4)
+  {
+    const int t = omp_get_thread_num();
+    std::vector<std::int64_t> v(static_cast<std::size_t>(kLong), 1);
+    totals[static_cast<std::size_t>(t)] = exclusive_scan_inplace(v);
+    bool ok = true;
+    for (std::int64_t i = 0; i < kLong; ++i) {
+      ok = ok && v[static_cast<std::size_t>(i)] == i;
+    }
+    prefix_ok[static_cast<std::size_t>(t)] = ok ? 1 : 0;
+  }
+  set_num_threads(0);
+  for (const auto total : totals) EXPECT_EQ(total, kLong);
+  for (const int ok : prefix_ok) EXPECT_EQ(ok, 1);
+}
+
 TEST(ReduceTest, SumAndMax) {
   std::vector<std::int64_t> v{3, 1, 4, 1, 5, 9, 2, 6};
   EXPECT_EQ(reduce_sum(std::span<const std::int64_t>(v.data(), v.size())), 31);

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -189,6 +191,59 @@ inline std::vector<double> brute_force_kbc(const CsrGraph& g, std::int64_t k) {
     }
   }
   return bc;
+}
+
+/// Random tweet text made of the mention scanner's edge cases: '@' and '#'
+/// at word edges, "RT @" with and without a name after optional leading
+/// whitespace, mixed-case repeats of a few names, bytes >= 0x80 next to
+/// '@', bare symbols, and names at the very end of the text.
+inline std::string random_tweet_text(Rng& rng) {
+  static const char* const kNames[] = {
+      "bob", "Bob", "BOB", "al_1", "x", "CDC_eHealth", "cdc_ehealth", "z9",
+      "a_rather_long_user_name_17"};
+  static const char* const kLeads[] = {"", " ", "\t\n "};
+  static const char* const kSeps[] = {" ", "", ",", "\t", "(", ")", ":",
+                                      "\xC3\xA9", "\xFF", "-", "."};
+  const auto pick = [&rng](const auto& list) {
+    return list[rng.next_below(std::size(list))];
+  };
+  std::string t = pick(kLeads);
+  if (rng.next_bool(0.3)) {
+    t += "RT @";
+    if (rng.next_bool(0.8)) t += pick(kNames);
+  }
+  const std::int64_t parts = rng.next_in(0, 10);
+  for (std::int64_t p = 0; p < parts; ++p) {
+    t += pick(kSeps);
+    switch (rng.next_below(8)) {
+      case 0:
+      case 1:
+      case 2:  // a mention
+        t += '@';
+        t += pick(kNames);
+        break;
+      case 3:  // a hashtag
+        t += '#';
+        t += pick(kNames);
+        break;
+      case 4:  // a word the next symbol may be glued to
+        t += pick(kNames);
+        break;
+      case 5:  // a bare symbol
+        t += rng.next_bool(0.5) ? '@' : '#';
+        break;
+      case 6:  // a high byte right before or after a mention
+        t += "\xC3\xA9@";
+        t += pick(kNames);
+        if (rng.next_bool(0.5)) t += "\xE2\x80\xA6";
+        break;
+      default:  // doubled symbols
+        t += rng.next_bool(0.5) ? "@@" : "#@";
+        t += pick(kNames);
+        break;
+    }
+  }
+  return t;
 }
 
 }  // namespace graphct::testing
