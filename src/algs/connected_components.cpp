@@ -1,7 +1,6 @@
 #include "algs/connected_components.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -80,11 +79,19 @@ std::vector<vid> weak_components(const GraphView& g) {
 }
 
 ComponentStats component_stats(std::span<const vid> labels) {
-  std::unordered_map<vid, std::int64_t> counts;
-  for (vid l : labels) ++counts[l];
+  // Every labeling here names a component by one of its vertex ids, so the
+  // sizes are counted in an array indexed by label.
+  std::vector<std::int64_t> counts(labels.size(), 0);
+  for (vid l : labels) {
+    GCT_CHECK(l >= 0 && static_cast<std::size_t>(l) < labels.size(),
+              "component_stats: a label is not a vertex id");
+    ++counts[static_cast<std::size_t>(l)];
+  }
   ComponentStats s;
-  s.num_components = static_cast<std::int64_t>(counts.size());
-  s.sizes.assign(counts.begin(), counts.end());
+  for (std::size_t l = 0; l < counts.size(); ++l) {
+    if (counts[l] > 0) s.sizes.emplace_back(static_cast<vid>(l), counts[l]);
+  }
+  s.num_components = static_cast<std::int64_t>(s.sizes.size());
   std::sort(s.sizes.begin(), s.sizes.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;

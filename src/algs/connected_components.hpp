@@ -46,7 +46,8 @@ struct ComponentStats {
   }
 };
 
-/// Summarize a label array from connected_components().
+/// Summarize a label array from connected_components() (or any labeling
+/// that names each component by one of its vertex ids, 0 <= label < n).
 ComponentStats component_stats(std::span<const vid> labels);
 
 /// Extract the largest (weakly) connected component as a subgraph — the

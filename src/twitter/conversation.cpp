@@ -20,12 +20,8 @@ SubcommunityResult subcommunity_filter(const MentionGraph& mg) {
     // The LWCC's counts come from the labels and degrees; extracting it
     // (largest_component) would build a copy only to count it.
     const std::vector<vid> labels = graphct::connected_components(und);
-    std::vector<std::int64_t> size(labels.size(), 0);
-    for (vid l : labels) ++size[static_cast<std::size_t>(l)];
-    // Labels are the smallest id in each component; max_element keeps the
-    // first, smallest label on a size tie, as component_stats orders them.
-    const auto largest = std::max_element(size.begin(), size.end());
-    const auto lwcc = static_cast<vid>(largest - size.begin());
+    const graphct::ComponentStats stats = graphct::component_stats(labels);
+    const vid lwcc = stats.largest_label();
     // An undirected CSR stores a self-loop once and every other edge
     // twice; count edges as CsrGraph::num_edges does.
     const vid n = und.num_vertices();
@@ -39,7 +35,7 @@ SubcommunityResult subcommunity_filter(const MentionGraph& mg) {
         if (u == v) ++loops;
       }
     }
-    r.lwcc_vertices = largest == size.end() ? 0 : *largest;
+    r.lwcc_vertices = stats.largest_size();
     r.lwcc_edges = (entries + loops) / 2;
   }
 

@@ -8,10 +8,6 @@ namespace graphct::twitter {
 
 namespace {
 
-// Past this many mentions in one text, duplicates are found through a hash
-// set rather than by comparing with every earlier mention, so a text with
-// k mentions costs O(k), not O(k^2).
-constexpr std::size_t kLinearDedupMax = 16;
 constexpr std::size_t kNoMention = std::numeric_limits<std::size_t>::max();
 
 bool is_space(char c) {
@@ -42,31 +38,15 @@ TweetScan::Span TweetScan::append_lower(std::string_view raw) {
   return s;
 }
 
-bool TweetScan::add_mention(Span name, std::size_t text_size) {
+bool TweetScan::add_mention(Span name) {
   const std::string_view n = view(name);
-  if (seen_.empty()) {
-    for (const Span& s : mentions_) {
-      if (view(s) == n) return false;
-    }
-    mentions_.push_back(name);
-    if (mentions_.size() < kLinearDedupMax) return true;
-    // Index every mention so far. A mention takes at least two bytes, so
-    // a table of bit_ceil(text_size + 1) slots stays at most half full.
-    seen_.assign(std::bit_ceil(text_size + 1), kNoMention);
-    const std::size_t mask = seen_.size() - 1;
-    for (std::size_t m = 0; m < mentions_.size(); ++m) {
-      std::size_t slot = hash_username(view(mentions_[m])) & mask;
-      while (seen_[slot] != kNoMention) slot = (slot + 1) & mask;
-      seen_[slot] = m;
-    }
-    return true;
-  }
   const std::size_t mask = seen_.size() - 1;
   std::size_t slot = hash_username(n) & mask;
   for (; seen_[slot] != kNoMention; slot = (slot + 1) & mask) {
     if (view(mentions_[seen_[slot]]) == n) return false;
   }
   seen_[slot] = mentions_.size();
+  used_.push_back(slot);
   mentions_.push_back(name);
   return true;
 }
@@ -75,7 +55,12 @@ void TweetScan::scan(std::string_view text) {
   names_.clear();
   mentions_.clear();
   hashtags_.clear();
-  seen_.clear();
+  for (const std::size_t slot : used_) seen_[slot] = kNoMention;
+  used_.clear();
+  // A mention takes at least two bytes, so a set of text.size() + 1 slots
+  // stays at most half full.
+  const std::size_t slots = std::bit_ceil(text.size() + 1);
+  if (seen_.size() < slots) seen_.assign(slots, kNoMention);
   retweet_of_ = {};
   is_retweet_ = false;
 
@@ -101,7 +86,7 @@ void TweetScan::scan(std::string_view text) {
     const Span token = append_lower(text.substr(i + 1, q - i - 1));
     if (c == '#') {
       hashtags_.push_back(token);
-    } else if (!add_mention(token, text.size())) {
+    } else if (!add_mention(token)) {
       names_.resize(token.begin);  // a repeat: drop its bytes
     }
     i = q - 1;

@@ -100,16 +100,19 @@ class TweetScan {
     return {names_.data() + s.begin, s.end - s.begin};
   }
   Span append_lower(std::string_view raw);
-  bool add_mention(Span name, std::size_t text_size);
+  bool add_mention(Span name);
 
   std::string names_;
   std::vector<Span> mentions_;
   std::vector<Span> hashtags_;
   Span retweet_of_;
   bool is_retweet_ = false;
-  // Open-addressing set of mention indices, used only once a text has more
-  // mentions than a linear duplicate check handles cheaply.
+  // Open-addressing set of mention indices (linear probing), keyed by
+  // hash_username, so a text with k mentions costs O(k). It keeps the size
+  // of the longest text so far; used_ lists the slots the last scan filled,
+  // which the next scan empties.
   std::vector<std::size_t> seen_;
+  std::vector<std::size_t> used_;
 };
 
 /// Parse one tweet with TweetScan's rules into owned strings. Hashtags are

@@ -70,6 +70,12 @@ TEST(ComponentStatsTest, SortsBySizeThenLabel) {
   EXPECT_EQ(stats.largest_size(), 3);
 }
 
+TEST(ComponentStatsTest, RejectsLabelsThatAreNotVertexIds) {
+  EXPECT_THROW(component_stats(std::vector<vid>{0, 2}), Error);
+  EXPECT_THROW(component_stats(std::vector<vid>{0, kNoVertex}), Error);
+  EXPECT_EQ(component_stats(std::vector<vid>{}).num_components, 0);
+}
+
 TEST(LargestComponentTest, ExtractsIt) {
   const auto g = make_undirected(7, {{0, 1}, {1, 2}, {2, 3}, {5, 6}});
   const auto sub = largest_component(g);

@@ -161,7 +161,8 @@ TEST(TweetParserTest, MixedCaseHashtagsDeduplicated) {
 }
 
 TEST(TweetParserTest, ManyMentionsDeduplicatedInOrder) {
-  // Past a handful of mentions the duplicate check switches to a hash set.
+  // Forty names, then every third one again in reverse and upper case:
+  // only the first occurrence of each stays, in text order.
   std::string text;
   std::vector<std::string> want;
   for (int i = 0; i < 40; ++i) {
@@ -252,6 +253,21 @@ TEST(TweetScanTest, ReusedScannerForgetsThePreviousText) {
   ASSERT_EQ(scan.num_mentions(), 1u);
   EXPECT_EQ(scan.mention(0), "c");
   EXPECT_EQ(scan.num_hashtags(), 0u);
+}
+
+TEST(TweetScanTest, ReusedScannerForgetsThePreviousMentions) {
+  // A long text sizes the duplicate set; a shorter one after it mentions
+  // the same names and must keep each once.
+  TweetScan scan;
+  std::string text;
+  for (int i = 0; i < 30; ++i) text += "@u" + std::to_string(i) + " ";
+  scan.scan(text);
+  ASSERT_EQ(scan.num_mentions(), 30u);
+  scan.scan("@u7 @u0 @U7 @new");
+  ASSERT_EQ(scan.num_mentions(), 3u);
+  EXPECT_EQ(scan.mention(0), "u7");
+  EXPECT_EQ(scan.mention(1), "u0");
+  EXPECT_EQ(scan.mention(2), "new");
 }
 
 TEST(NormalizeUsernameTest, Lowercases) {
